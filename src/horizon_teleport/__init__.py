@@ -20,7 +20,6 @@ from .fock import (
     ModeLayout,
     Tolerances,
     annihilate,
-    apply_local_map,
     basis_state,
     create,
     inner,
@@ -72,7 +71,6 @@ __all__ = [
     "ModeLayout",
     "Tolerances",
     "annihilate",
-    "apply_local_map",
     "basis_state",
     "create",
     "inner",

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 from . import analysis, channel, teleport
@@ -45,7 +46,17 @@ THREADS_ENV = "HORIZON_TELEPORT_THREADS"
 
 class _ExitOneParser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract reserves 2 for divergent
-    squeezing and wants validation failures on exit code 1."""
+    squeezing and wants validation failures on exit code 1.
+
+    argparse also takes a negative number in exponent notation, such as
+    ``--beta-re -6.9e-05``, for an option flag, because its negative-number
+    pattern has no exponent; this parser and its subparsers read it as a
+    value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -33,7 +33,6 @@ __all__ = [
     "project",
     "partial_trace",
     "reduced_density",
-    "apply_local_map",
 ]
 
 
@@ -41,7 +40,7 @@ __all__ = [
 class Tolerances:
     """Numerical slack for state validation, configurable per call site.
 
-    norm   -- unit-norm / trace / orthonormality / unitarity deviations
+    norm   -- unit-norm / trace / orthonormality deviations
     herm   -- allowed max-entry deviation of a matrix from its adjoint
     psd    -- allowed magnitude of negative density-operator eigenvalues
     """
@@ -450,45 +449,3 @@ def reduced_density(state: FockVector, keep: tuple[str, ...] | list[str]) -> Den
     return DensityOperator(
         sub, rho, trace_expected=float(np.vdot(state.amplitudes, state.amplitudes).real)
     )
-
-
-def apply_local_map(
-    state: FockVector,
-    modes: tuple[str, str],
-    matrix: np.ndarray,
-    *,
-    check_unitary: bool = True,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> FockVector:
-    """Apply a two-mode unitary to the named mode pair.
-
-    The matrix is indexed by the pair's joint basis, row-major in the order
-    the modes are given (second mode fastest).  ``check_unitary=False``
-    skips the U†U test; callers may use it only for matrices that are
-    unitary by construction, since the product costs a full matrix multiply
-    at large cutoffs.
-    """
-    ma, mb = modes
-    if ma == mb:
-        raise ValueError("mode pair must be two distinct modes")
-    pair = state.layout.subset((ma, mb))
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (pair.dim, pair.dim):
-        raise ValueError(f"matrix shape {matrix.shape} != ({pair.dim}, {pair.dim})")
-    if check_unitary:
-        dev = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(pair.dim))))
-        if dev > tolerances.norm:
-            raise ValueError(f"matrix not unitary: max |U†U - 1| = {dev:.3e}")
-
-    pair_pos, rest_pos = _split_axes(state.layout, (ma, mb))
-    perm = pair_pos + rest_pos
-    rest_dim = state.layout.dim // pair.dim
-    tens = np.ascontiguousarray(state.as_tensor().transpose(perm))
-    mapped = matrix @ tens.reshape(pair.dim, rest_dim)
-
-    permuted_dims = tuple(state.layout.dims[i] for i in perm)
-    inverse = np.argsort(perm)
-    out = np.ascontiguousarray(
-        mapped.reshape(permuted_dims).transpose(inverse)
-    ).reshape(-1)
-    return FockVector(state.layout, out, flags=state.flags)

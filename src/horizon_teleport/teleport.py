@@ -8,6 +8,11 @@ region II (modes B1I, B1II, B2I, B2II).  Alice measures (X1, X2, A1, A2)
 in the dual-rail Bell basis, Bob applies the outcome's correction unitary
 to his accessible region-I rails, and region II is traced out.
 
+The input qubit and the resource are never joined into one eight-mode
+state: a Bell state contracted against the input qubit leaves a vector on
+Alice's ancilla (A1, A2), and projecting the six-mode resource onto that
+vector leaves Bob's four modes.
+
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
 brute-force pipeline here exists to verify that law numerically.
@@ -24,10 +29,8 @@ from . import channel
 from .channel import RegionPair, SqueezeParams
 from .fock import (
     DEFAULT_TOLERANCES,
-    DensityOperator,
     FockVector,
     ModeLayout,
-    apply_local_map,
     basis_state,
     project,
     reduced_density,
@@ -90,8 +93,7 @@ class DualRailQubit:
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """One Bell result: its probability, Bob's post-trace conditional state
-    on the region-I pair, and the post-correction fidelity.
+    """One Bell result: its probability and the post-correction fidelity.
 
     A probability below DEGENERATE_PROBABILITY is flagged "degenerate" and
     the fidelity reported as NaN (not applicable), never divided through.
@@ -99,7 +101,6 @@ class TeleportOutcome:
 
     label: str
     probability: float
-    conditional_state: DensityOperator
     fidelity: float
     flags: tuple[str, ...] = ()
 
@@ -154,13 +155,13 @@ def bell_resource(
 ) -> FockVector:
     """The shared entangled resource, Bob's half pushed through the channel.
 
-    (|0L>_A (one on rail 1)(zero on rail 2) +
-     |1L>_A (zero on rail 1)(one on rail 2)) / sqrt(2)
+    (|1,0>_A embed_dual_rail(|0L>) + |0,1>_A embed_dual_rail(|1L>)) / sqrt(2)
 
     Positional layout contract: modes[0:2] are Alice's dual-rail ancilla at
     cutoff 1, modes[2:4] and modes[4:6] are Bob's rails as (region I,
     region II) pairs at cutoff ``n_max``.  At r = 0 this is the flat
-    dual-rail Bell state with region II in vacuum.
+    dual-rail Bell state with region II in vacuum.  A truncation loss above
+    ``epsilon_trunc`` raises ``TruncationBudgetExceeded``.
     """
     if layout.mode_count != 6:
         raise ValueError("resource layout needs 6 modes (ancilla pair + two rails)")
@@ -170,19 +171,15 @@ def bell_resource(
         raise ValueError(f"Bob's modes must all have cutoff {n_max}")
 
     ancilla = ModeLayout.uniform(layout.modes[:2], 1)
-    pair1 = RegionPair(layout.modes[2], layout.modes[3])
-    pair2 = RegionPair(layout.modes[4], layout.modes[5])
-
-    one_1, tail1 = channel.embed_one(params, pair1, n_max)
-    zero_1, tail0 = channel.embed_zero(params, pair1, n_max)
-    one_2, _ = channel.embed_one(params, pair2, n_max)
-    zero_2, _ = channel.embed_zero(params, pair2, n_max)
-    loss = 1.0 - (1.0 - tail0) * (1.0 - tail1)
-    if epsilon_trunc is not None and loss > epsilon_trunc:
-        raise channel.TruncationBudgetExceeded(loss, epsilon_trunc)
-
-    branch0 = tensor(basis_state(ancilla, (1, 0)), tensor(one_1, zero_2))
-    branch1 = tensor(basis_state(ancilla, (0, 1)), tensor(zero_1, one_2))
+    pairs = (RegionPair(*layout.modes[2:4]), RegionPair(*layout.modes[4:6]))
+    zero_l, _ = channel.embed_dual_rail(
+        DualRailQubit(1.0, 0.0), params, pairs, n_max, epsilon_trunc
+    )
+    one_l, _ = channel.embed_dual_rail(
+        DualRailQubit(0.0, 1.0), params, pairs, n_max, epsilon_trunc
+    )
+    branch0 = tensor(basis_state(ancilla, (1, 0)), zero_l)
+    branch1 = tensor(basis_state(ancilla, (0, 1)), one_l)
     return (branch0 + branch1) * (1.0 / math.sqrt(2.0))
 
 
@@ -209,6 +206,26 @@ def bell_basis(
     }
 
 
+def _correct(label: str, amplitudes: np.ndarray, rails: tuple[int, int]) -> np.ndarray:
+    """Bob's correction for a Bell outcome, applied to an amplitude array
+    whose axes ``rails`` are his region-I rails (rail 1, rail 2).
+
+    01 swaps the two rails (dual-rail bit flip), 10 puts a pi phase per
+    photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.
+    """
+    if label not in OUTCOME_LABELS:
+        raise ValueError(f"unknown outcome label {label!r}")
+    rail1, rail2 = rails
+    if label in ("01", "11"):
+        amplitudes = np.swapaxes(amplitudes, rail1, rail2)
+    if label in ("10", "11"):
+        shape = [1] * amplitudes.ndim
+        shape[rail2] = amplitudes.shape[rail2]
+        parity = np.where(np.arange(shape[rail2]) % 2 == 0, 1.0, -1.0)
+        amplitudes = amplitudes * parity.reshape(shape)
+    return amplitudes
+
+
 def correction(label: str, cutoff: int = 1) -> np.ndarray:
     """Bob's correction unitary for a Bell outcome, on his region-I pair.
 
@@ -219,20 +236,8 @@ def correction(label: str, cutoff: int = 1) -> np.ndarray:
     of the pair, row-major (second mode fastest), at the given cutoff.
     """
     d = cutoff + 1
-    dim = d * d
-    idx = np.arange(dim)
-    n1, n2 = idx // d, idx % d
-    if label == "00":
-        return np.eye(dim, dtype=np.complex128)
-    if label == "01":
-        swap = np.zeros((dim, dim), dtype=np.complex128)
-        swap[n2 * d + n1, idx] = 1.0
-        return swap
-    if label == "10":
-        return np.diag(np.where(n2 % 2 == 0, 1.0, -1.0).astype(np.complex128))
-    if label == "11":
-        return correction("10", cutoff) @ correction("01", cutoff)
-    raise ValueError(f"unknown outcome label {label!r}")
+    columns = np.eye(d * d, dtype=np.complex128).reshape(d, d, d * d)
+    return _correct(label, columns, (0, 1)).reshape(d * d, d * d)
 
 
 def fidelity_analytic(params: SqueezeParams) -> float:
@@ -240,27 +245,25 @@ def fidelity_analytic(params: SqueezeParams) -> float:
     return (1.0 - params.tanh_r**2) ** 3
 
 
-def _degenerate_outcome(label: str, pair_layout: ModeLayout, probability: float) -> TeleportOutcome:
-    """Outcome that (numerically) cannot occur: zero state, NaN fidelity."""
-    zero = np.zeros((pair_layout.dim, pair_layout.dim), dtype=np.complex128)
-    rho = DensityOperator(pair_layout, zero, trace_expected=0.0, flags=("degenerate",))
+def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
+    """Outcome that (numerically) cannot occur: NaN fidelity, flagged."""
     return TeleportOutcome(
-        label=label,
-        probability=probability,
-        conditional_state=rho,
-        fidelity=math.nan,
-        flags=("degenerate",),
+        label=label, probability=probability, fidelity=math.nan, flags=("degenerate",)
     )
 
 
 def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
-    """Brute-force teleportation: compose, project, correct, trace, score.
+    """Brute-force teleportation: measure, correct, score.
 
-    Builds the full eight-mode state (input qubit tensor resource),
-    projects each Bell outcome of Alice's four modes, applies Bob's
-    correction to his region-I rails, traces out region II, and evaluates
-    F = <phi| rho_I |phi> against the ideal dual-rail state.  Returns the
-    four outcomes in label order 00, 01, 10, 11.
+    For each Bell outcome, projects the Bell state of Alice's four modes
+    onto the input qubit, which leaves a vector on her ancilla (A1, A2), and
+    projects the six-mode resource onto that vector; the Born probability
+    is the product of the two projection probabilities, and the remainder
+    is Bob's conditional state on (B1I, B1II, B2I, B2II).  Bob's correction
+    acts on the region-I axes, and the fidelity against the ideal
+    dual-rail state, with region II traced out, is
+    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2.
+    Returns the four outcomes in label order 00, 01, 10, 11.
     """
     qubit = config.input
     n_max = config.bob_cutoff()
@@ -269,41 +272,25 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
     resource = bell_resource(
         config.params, resource_layout(n_max), n_max, epsilon_trunc=budget
     )
-    full = tensor(qubit.state(), resource)
     basis = bell_basis(qubit.mode_pair + ALICE_ANCILLA)
-
-    projections = [project(full, [basis[label]]) for label in OUTCOME_LABELS]
-    del full, resource  # the heavy arrays are not needed past this point
-
-    region_i = (BOB_PAIRS[0].region_I_mode, BOB_PAIRS[1].region_I_mode)
-    pair_layout = ModeLayout.uniform(region_i, n_max)
-    target = (
-        qubit.alpha * basis_state(pair_layout, (1, 0))
-        + qubit.beta * basis_state(pair_layout, (0, 1))
-    )
+    input_state = qubit.state()
 
     outcomes = []
-    for label, (probability, conditional) in zip(OUTCOME_LABELS, projections):
+    for label in OUTCOME_LABELS:
+        weight, ancilla = project(basis[label], [input_state])
+        conditional_probability, bob = project(resource, [ancilla])
+        probability = weight * conditional_probability
         if probability < DEGENERATE_PROBABILITY:
-            outcomes.append(_degenerate_outcome(label, pair_layout, probability))
+            outcomes.append(_degenerate_outcome(label, probability))
             continue
-        # corrections are exact signed permutations, unitary by construction,
-        # so the U†U re-check (a full matmul at this size) is skipped
-        corrected = apply_local_map(
-            conditional, region_i, correction(label, n_max), check_unitary=False
+        # axes of Bob's tensor: B1I, B1II, B2I, B2II (resource layout order)
+        psi = _correct(label, bob.as_tensor(), (0, 2))
+        overlap = (
+            qubit.alpha.conjugate() * psi[1, :, 0, :]
+            + qubit.beta.conjugate() * psi[0, :, 1, :]
         )
-        rho = reduced_density(corrected, region_i)
-        fidelity = float(
-            np.vdot(target.amplitudes, rho.matrix @ target.amplitudes).real
-        )
-        outcomes.append(
-            TeleportOutcome(
-                label=label,
-                probability=probability,
-                conditional_state=rho,
-                fidelity=fidelity,
-            )
-        )
+        fidelity = float(np.vdot(overlap, overlap).real)
+        outcomes.append(TeleportOutcome(label, probability, fidelity))
     return outcomes
 
 

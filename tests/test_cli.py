@@ -137,6 +137,13 @@ def test_simulate_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_simulate_reads_a_negative_amplitude_in_exponent_notation(capsys):
+    argv = ["simulate", "--mass", "1", "--omega", "0.3", "--alpha-re", "1", "--beta-re", "-6.9e-05"]
+    assert run_cli(argv) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert [r[0] for r in rows] == ["00", "01", "10", "11"]
+
+
 def test_simulate_infeasible_cutoff_exits_3(capsys):
     assert run_cli(["simulate", "--mass", "0.001", "--omega", "0.1"]) == 3
     assert "cutoff" in capsys.readouterr().err

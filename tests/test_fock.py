@@ -14,7 +14,6 @@ from horizon_teleport.fock import (
     ModeLayout,
     Tolerances,
     annihilate,
-    apply_local_map,
     basis_state,
     create,
     inner,
@@ -375,49 +374,6 @@ def test_reduced_density_matches_partial_trace():
     via_trace = partial_trace(outer(psi), ("c", "a"))
     np.testing.assert_allclose(direct.matrix, via_trace.matrix, atol=1e-12)
     assert direct.layout.modes == ("c", "a")
-
-
-# ---------------------------------------------------------------- local maps
-
-
-def test_apply_local_map_examples():
-    layout = ModeLayout.uniform(("r1", "r2"), 1)
-    state = basis_state(layout, (1, 0))
-
-    same = apply_local_map(state, ("r1", "r2"), np.eye(4, dtype=complex))
-    np.testing.assert_allclose(same.amplitudes, state.amplitudes)
-
-    # swap of the two rails: |n1, n2> -> |n2, n1>
-    swap = np.zeros((4, 4), dtype=complex)
-    for n1 in range(2):
-        for n2 in range(2):
-            swap[n2 * 2 + n1, n1 * 2 + n2] = 1.0
-    swapped = apply_local_map(state, ("r1", "r2"), swap)
-    np.testing.assert_allclose(swapped.amplitudes, basis_state(layout, (0, 1)).amplitudes)
-
-    # pi phase on the second mode
-    phase = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-    flipped = apply_local_map(basis_state(layout, (0, 1)), ("r1", "r2"), phase)
-    np.testing.assert_allclose(flipped.amplitudes, -basis_state(layout, (0, 1)).amplitudes)
-
-
-def test_apply_local_map_checks_unitarity_and_preserves_norm():
-    layout = ModeLayout(("a", "b", "c"), (1, 1, 2))
-    psi = random_state(layout, seed=29, normalize=True)
-
-    with pytest.raises(ValueError):
-        apply_local_map(psi, ("a", "b"), 2.0 * np.eye(4, dtype=complex))
-
-    rng = np.random.default_rng(31)
-    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    mapped = apply_local_map(psi, ("a", "b"), u)
-    assert mapped.norm() == pytest.approx(1.0, abs=1e-12)
-
-    # acting on modes out of layout order still touches only those modes
-    rho_c = reduced_density(mapped, ("c",))
-    np.testing.assert_allclose(
-        rho_c.matrix, reduced_density(psi, ("c",)).matrix, atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------- validation

@@ -7,7 +7,7 @@ import pytest
 
 from horizon_teleport import fock, teleport
 from horizon_teleport.channel import SqueezeParams, squeeze_param
-from horizon_teleport.fock import ModeLayout, apply_local_map, basis_state, project, tensor
+from horizon_teleport.fock import ModeLayout, basis_state, project, reduced_density, tensor
 from horizon_teleport.teleport import (
     ALICE_ANCILLA,
     DEGENERATE_PROBABILITY,
@@ -146,12 +146,12 @@ def test_correction_restores_the_conditional_amplitudes():
     for label, conditional in CONDITIONAL_TABLE.items():
         x, y = conditional(alpha, beta)
         state = x * basis_state(layout, (1, 0)) + y * basis_state(layout, (0, 1))
-        fixed = apply_local_map(state, ("R1", "R2"), correction(label))
+        fixed = correction(label) @ state.amplitudes
         expected = alpha * basis_state(layout, (1, 0)) + beta * basis_state(
             layout, (0, 1)
         )
         np.testing.assert_allclose(
-            fixed.amplitudes, expected.amplitudes, atol=1e-14, err_msg=label
+            fixed, expected.amplitudes, atol=1e-14, err_msg=label
         )
 
 
@@ -199,7 +199,6 @@ def test_flat_space_protocol_is_exact():
             assert o.probability == pytest.approx(0.25, abs=1e-12)
             assert o.fidelity == pytest.approx(1.0, abs=1e-12)
             assert o.flags == ()
-            o.conditional_state.validate()
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -265,6 +264,51 @@ def test_fidelity_is_input_independent():
     assert max(values) - min(values) <= 1e-6
 
 
+def _eight_mode_protocol(config):
+    """The protocol on the full eight-mode input-resource state: project
+    each Bell outcome, apply the correction matrix to the region-I axes,
+    reduce to region I and read <phi| rho_I |phi>."""
+    qubit, n_max = config.input, config.bob_cutoff()
+    d = n_max + 1
+    full = tensor(qubit.state(), bell_resource(config.params, resource_layout(n_max), n_max))
+    basis = bell_basis(qubit.mode_pair + ALICE_ANCILLA)
+    pair = ModeLayout.uniform(("B1I", "B2I"), n_max)
+    phi = qubit.alpha * basis_state(pair, (1, 0)) + qubit.beta * basis_state(pair, (0, 1))
+    outcomes = []
+    for label in OUTCOME_LABELS:
+        probability, conditional = project(full, [basis[label]])
+        u = correction(label, n_max).reshape(d, d, d, d)
+        # (out1, out2) x (B1II, B2II), back to (B1I, B1II, B2I, B2II)
+        corrected = np.tensordot(u, conditional.as_tensor(), axes=([2, 3], [0, 2]))
+        corrected = fock.FockVector(conditional.layout, corrected.transpose(0, 2, 1, 3).reshape(-1))
+        rho = reduced_density(corrected, ("B1I", "B2I"))
+        fidelity = float(np.vdot(phi.amplitudes, rho.matrix @ phi.amplitudes).real)
+        flags = ("degenerate",) if probability < DEGENERATE_PROBABILITY else ()
+        outcomes.append((label, probability, fidelity, flags))
+    return outcomes
+
+
+@pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 12])
+def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
+    params = SqueezeParams.from_tanh(tanh_r)
+    rng = np.random.default_rng(1000 * n_max + int(10 * tanh_r))
+    for _ in range(3):
+        raw = rng.normal(size=4)
+        config = ProtocolConfig(
+            params=params,
+            input=make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]),
+            n_max_bob=n_max,
+        )
+        for outcome, (label, probability, fidelity, flags) in zip(
+            run_protocol(config), _eight_mode_protocol(config)
+        ):
+            assert outcome.label == label
+            assert outcome.flags == flags
+            assert outcome.probability == pytest.approx(probability, abs=1e-12)
+            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
 def test_truncation_error_is_nonincreasing_in_the_cutoff():
     for t in (0.1, 0.3, 0.5, 0.7):
         params = SqueezeParams.from_tanh(t)
@@ -307,12 +351,10 @@ def test_reported_values_stay_in_bounds():
 
 
 def test_degenerate_outcomes_are_flagged_not_divided():
-    layout = ModeLayout.uniform(("B1I", "B2I"), 1)
-    outcome = teleport._degenerate_outcome("10", layout, 0.0)
+    outcome = teleport._degenerate_outcome("10", 0.0)
     assert outcome.flags == ("degenerate",)
     assert math.isnan(outcome.fidelity)
     assert outcome.probability == 0.0
-    assert outcome.conditional_state.trace() == 0.0
     assert DEGENERATE_PROBABILITY == 1e-14
 
     with pytest.raises(ValueError):
@@ -320,11 +362,9 @@ def test_degenerate_outcomes_are_flagged_not_divided():
 
 
 def test_average_fidelity_weights_by_probability():
-    layout = ModeLayout.uniform(("B1I", "B2I"), 1)
-    rho = fock.DensityOperator(layout, np.diag([0, 0.5, 0.5, 0]).astype(complex))
-    a = teleport.TeleportOutcome("00", 0.2, rho, 0.5)
-    b = teleport.TeleportOutcome("01", 0.6, rho, 1.0)
-    degenerate = teleport._degenerate_outcome("10", layout, 0.0)
+    a = teleport.TeleportOutcome("00", 0.2, 0.5)
+    b = teleport.TeleportOutcome("01", 0.6, 1.0)
+    degenerate = teleport._degenerate_outcome("10", 0.0)
     assert average_fidelity([a, b, degenerate]) == pytest.approx(0.875)
 
 
