@@ -2,15 +2,14 @@
 
 The sweep walks a (horizon radius, frequency) grid, radius-major, and
 evaluates the closed-form fidelity at every point, optionally backing it
-with the brute-force simulation where the required cutoff stays under a
-memory-guarding cap.  The convergence report pins how fast the simulated
-fidelity approaches the closed form as the cutoff grows.
+with the simulation where the required cutoff stays under a cap.  The
+convergence report pins how fast the simulated fidelity approaches the
+closed form as the cutoff grows.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -171,9 +170,12 @@ def sweep(
     exceeds ``max_cutoff`` fall back to analytic-only records flagged
     "cutoff-capped" rather than aborting the sweep.
 
-    ``workers`` caps the thread pool (None or 0 means auto, one worker per
-    CPU).  Grid points are independent pure functions and results are
-    ordered by grid index, so the output is identical for any worker count.
+    ``workers`` is the number of threads (None or 0 means one: the points
+    run in turn on the calling thread).  Two or more run the points on a
+    thread pool, which pays only where numpy releases the interpreter lock
+    for long stretches; at the default sizes one thread is faster.  Grid
+    points are independent pure functions and results are ordered by grid
+    index, so the output is identical for any worker count.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
@@ -193,9 +195,7 @@ def sweep(
             point[0], point[1], mode, epsilon_trunc, max_cutoff, exponent_scale
         )
 
-    if workers is None or workers == 0:
-        workers = os.cpu_count() or 1
-    if workers == 1:
+    if not workers or workers == 1:
         return [evaluate(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(evaluate, points))

@@ -15,6 +15,10 @@ temperature conventions can be explored without code change; the default
 This module maps (M, Omega) to squeezing parameters and embeds the
 single-mode vacuum and one-photon states into truncated region-I/region-II
 Fock space, with exact closed-form accounting of the truncated tail weight.
+The embeddings are supported on |m, m> and |m+1, m>; their amplitudes by
+region-II occupation m (``_schmidt_coefficients``) are all that the
+protocol in ``teleport`` reads, while ``embed_zero`` and ``embed_one``
+spread them over the dense pair space.
 """
 
 from __future__ import annotations
@@ -105,8 +109,16 @@ class SqueezeParams:
         return math.exp(-2.0 * math.pi * self.mass * self.frequency * self.exponent_scale)
 
     @property
+    def sech2_r(self) -> float:
+        """1 - tanh^2 r = 1 / cosh^2 r, computed as -expm1(-4 pi M Omega s)
+        so it keeps full relative precision as tanh r approaches 1."""
+        return -math.expm1(
+            -4.0 * math.pi * self.mass * self.frequency * self.exponent_scale
+        )
+
+    @property
     def cosh_r(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.tanh_r**2)
+        return 1.0 / math.sqrt(self.sech2_r)
 
     @property
     def sinh_r(self) -> float:
@@ -170,6 +182,24 @@ def _pair_layout(pair: RegionPair, n_max: int) -> ModeLayout:
     return ModeLayout.uniform(pair.modes, n_max)
 
 
+def _schmidt_coefficients(
+    params: SqueezeParams, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of the vacuum and one-photon embeddings by region-II
+    occupation m = 0..n_max.
+
+    The vacuum embedding puts tanh^m r / cosh r on |m, m>_(I, II) and the
+    one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
+    latter is 0 at m = n_max, where region I would exceed the cutoff.
+    """
+    m = np.arange(n_max + 1)
+    powers = params.tanh_r ** m
+    zero = powers / params.cosh_r
+    one = powers * np.sqrt(m + 1.0) * params.sech2_r
+    one[n_max] = 0.0
+    return zero, one
+
+
 def zero_tail(params: SqueezeParams, n_max: int) -> float:
     """Exact tail weight of the vacuum embedding above cutoff n_max."""
     return params.tanh_r ** (2 * (n_max + 1))
@@ -182,6 +212,12 @@ def one_tail(params: SqueezeParams, n_max: int) -> float:
     """
     x = params.tanh_r**2
     return x**n_max * (1.0 + n_max * (1.0 - x))
+
+
+def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
+    """Tail weight lost by a dual-rail embedding, one rail carrying the
+    photon and the other the vacuum: 1 - (1 - zero_tail)(1 - one_tail)."""
+    return 1.0 - (1.0 - zero_tail(params, n_max)) * (1.0 - one_tail(params, n_max))
 
 
 def embed_zero(
@@ -201,8 +237,8 @@ def embed_zero(
     tail = zero_tail(params, n_max)
     if epsilon_trunc is not None and tail > epsilon_trunc:
         raise TruncationBudgetExceeded(tail, epsilon_trunc)
+    coeff, _ = _schmidt_coefficients(params, n_max)
     n = np.arange(n_max + 1)
-    coeff = params.tanh_r ** n / params.cosh_r
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[n * (n_max + 1) + n] = coeff  # diagonal kets |n, n>
     return FockVector(layout, amps), tail
@@ -226,10 +262,10 @@ def embed_one(
     tail = one_tail(params, n_max)
     if epsilon_trunc is not None and tail > epsilon_trunc:
         raise TruncationBudgetExceeded(tail, epsilon_trunc)
+    _, coeff = _schmidt_coefficients(params, n_max)
     n = np.arange(n_max)
-    coeff = params.tanh_r ** n * np.sqrt(n + 1.0) / params.cosh_r**2
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[(n + 1) * (n_max + 1) + n] = coeff  # kets |n+1, n>
+    amps[(n + 1) * (n_max + 1) + n] = coeff[:n_max]  # kets |n+1, n>
     return FockVector(layout, amps), tail
 
 
@@ -247,17 +283,17 @@ def embed_dual_rail(
     ``qubit`` is anything with ``alpha`` and ``beta`` attributes (see
     teleport.DualRailQubit).  Mode order of the result is
     (rail1 I, rail1 II, rail2 I, rail2 II).  Linear in (alpha, beta);
-    returns the combined tail weight 1 - (1-tail0)(1-tail1).
+    returns the combined tail weight ``dual_rail_tail``.
     """
     alpha, beta = complex(qubit.alpha), complex(qubit.beta)
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > DEFAULT_TOLERANCES.norm:
         raise ValueError("dual-rail qubit must be normalized")
     pair1, pair2 = pairs
-    one_1, tail1 = embed_one(params, pair1, n_max)
-    zero_2, tail0 = embed_zero(params, pair2, n_max)
+    one_1, _ = embed_one(params, pair1, n_max)
+    zero_2, _ = embed_zero(params, pair2, n_max)
     zero_1, _ = embed_zero(params, pair1, n_max)
     one_2, _ = embed_one(params, pair2, n_max)
-    loss = 1.0 - (1.0 - tail0) * (1.0 - tail1)
+    loss = dual_rail_tail(params, n_max)
     if epsilon_trunc is not None and loss > epsilon_trunc:
         raise TruncationBudgetExceeded(loss, epsilon_trunc)
     vec = alpha * tensor(one_1, zero_2) + beta * tensor(zero_1, one_2)
@@ -281,7 +317,7 @@ def thermal_reduced(
         raise TruncationBudgetExceeded(tail, epsilon_trunc)
     layout = ModeLayout((mode,), (n_max,))
     n = np.arange(n_max + 1)
-    weights = params.tanh_r ** (2 * n) / params.cosh_r**2
+    weights = params.tanh_r ** (2 * n) * params.sech2_r
     return DensityOperator(
         layout, np.diag(weights.astype(np.complex128)), trace_expected=1.0 - tail
     )

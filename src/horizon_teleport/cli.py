@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 validation failure, 2 divergent squeezing,
 3 infeasible cutoff.  Output formats are deterministic byte for byte:
 floats carry 17 significant digits, lines end with LF, and the CSV and
 JSON writers expose identical field names.  ``HORIZON_TELEPORT_THREADS``
-caps sweep parallelism (0 or unset picks one worker per CPU); the output
-does not depend on the worker count.
+sets how many threads a sweep uses (0 or unset: one, the calling thread);
+the output does not depend on the thread count.
 """
 
 from __future__ import annotations

@@ -3,9 +3,13 @@
 States live on an ordered list of named modes, each truncated at its own
 maximum occupation number.  Everything is stored dense: a pure state is one
 complex amplitude per multi-index, a mixed state is a square matrix over the
-same basis.  All values are immutable after construction and every operation
-is a pure function of its inputs, so they can be shared freely across
-threads.
+same basis, so the size grows as the product of the per-mode dimensions.
+The protocol in ``teleport`` uses this layer only for Alice's Bell
+measurement, on four modes at cutoff 1; Bob's squeezed modes are held in
+sector form there.  Dense states of Bob's modes (``teleport.bell_resource``)
+serve as references in the tests.  All values are immutable after
+construction and every operation is a pure function of its inputs, so they
+can be shared freely across threads.
 
 Basis ordering is row-major with the LAST listed mode varying fastest.  This
 order is frozen: serialized outputs and golden files depend on it.

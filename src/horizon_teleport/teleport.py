@@ -8,14 +8,21 @@ region II (modes B1I, B1II, B2I, B2II).  Alice measures (X1, X2, A1, A2)
 in the dual-rail Bell basis, Bob applies the outcome's correction unitary
 to his accessible region-I rails, and region II is traced out.
 
-The input qubit and the resource are never joined into one eight-mode
-state: a Bell state contracted against the input qubit leaves a vector on
-Alice's ancilla (A1, A2), and projecting the six-mode resource onto that
-vector leaves Bob's four modes.
+The protocol runs on sectors, not on a dense resource.  Two-mode squeezing
+fixes n_I - n_II on each rail (|m, m> for the vacuum, |m+1, m> for one
+photon), so each logical branch of Bob's state is one amplitude array over
+his region-II occupations (m1, m2), and the branch fixes the region-I
+occupations.  Bob's state then has O(n_max^2) amplitudes where the dense
+four-mode tensor has O(n_max^4).  Alice's Bell measurement is a
+``fock.project`` of the Bell state onto the input qubit; it leaves a vector
+on her ancilla (A1, A2) that weights the two branches.  The correction is a
+relabelling of the region-I occupations.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
-brute-force pipeline here exists to verify that law numerically.
+simulation here exists to verify that law numerically.  ``bell_resource``
+still builds the dense six-mode resource, for checks against the sector
+route; no run path uses it.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ from .fock import (
     ModeLayout,
     basis_state,
     project,
-    reduced_density,
-    tensor,
 )
 
 __all__ = [
@@ -110,10 +115,10 @@ class ProtocolConfig:
     """One teleportation run.
 
     ``n_max_bob`` fixes the cutoff of Bob's four squeezed modes; when None
-    it is derived as required_cutoff(params, epsilon_trunc), which meets
-    the tail budget by construction.  An explicit cutoff overrides the
-    budget (the loss is then observable as 1 - sum of outcome
-    probabilities).
+    it is derived as the smallest cutoff from required_cutoff(params,
+    epsilon_trunc) up whose dual-rail tail is within the budget, so it meets
+    the budget by construction.  An explicit cutoff overrides the budget
+    (the loss is then observable as 1 - sum of outcome probabilities).
     """
 
     params: SqueezeParams
@@ -137,7 +142,12 @@ class ProtocolConfig:
     def bob_cutoff(self) -> int:
         if self.n_max_bob is not None:
             return self.n_max_bob
-        return channel.required_cutoff(self.params, self.epsilon_trunc)
+        # required_cutoff bounds the one-photon tail alone; the budget holds
+        # the dual-rail tail, which adds the vacuum tail of the other rail
+        n_max = channel.required_cutoff(self.params, self.epsilon_trunc)
+        while channel.dual_rail_tail(self.params, n_max) > self.epsilon_trunc:
+            n_max += 1
+        return n_max
 
 
 def resource_layout(n_max: int) -> ModeLayout:
@@ -162,6 +172,10 @@ def bell_resource(
     region II) pairs at cutoff ``n_max``.  At r = 0 this is the flat
     dual-rail Bell state with region II in vacuum.  A truncation loss above
     ``epsilon_trunc`` raises ``TruncationBudgetExceeded``.
+
+    The state is dense, 4 (n_max + 1)^4 amplitudes; it is the reference the
+    tests hold the sector route of ``run_protocol`` to, and no run path
+    builds it.
     """
     if layout.mode_count != 6:
         raise ValueError("resource layout needs 6 modes (ancilla pair + two rails)")
@@ -170,17 +184,19 @@ def bell_resource(
     if layout.cutoffs[2:] != (n_max,) * 4:
         raise ValueError(f"Bob's modes must all have cutoff {n_max}")
 
-    ancilla = ModeLayout.uniform(layout.modes[:2], 1)
     pairs = (RegionPair(*layout.modes[2:4]), RegionPair(*layout.modes[4:6]))
-    zero_l, _ = channel.embed_dual_rail(
-        DualRailQubit(1.0, 0.0), params, pairs, n_max, epsilon_trunc
-    )
-    one_l, _ = channel.embed_dual_rail(
-        DualRailQubit(0.0, 1.0), params, pairs, n_max, epsilon_trunc
-    )
-    branch0 = tensor(basis_state(ancilla, (1, 0)), zero_l)
-    branch1 = tensor(basis_state(ancilla, (0, 1)), one_l)
-    return (branch0 + branch1) * (1.0 / math.sqrt(2.0))
+    # each branch goes straight into its ancilla slice, |1,0>_A then |0,1>_A,
+    # and is dropped before the next is built: the peak stays below twice
+    # the result
+    amplitudes = np.zeros((2, 2) + (n_max + 1,) * 4, dtype=np.complex128)
+    for ancilla, logical in (((1, 0), (1.0, 0.0)), ((0, 1), (0.0, 1.0))):
+        branch, _ = channel.embed_dual_rail(
+            DualRailQubit(*logical), params, pairs, n_max, epsilon_trunc
+        )
+        amplitudes[ancilla] = branch.as_tensor()
+        del branch
+    amplitudes *= 1.0 / math.sqrt(2.0)
+    return FockVector(layout, amplitudes.reshape(-1))
 
 
 def bell_basis(
@@ -206,24 +222,20 @@ def bell_basis(
     }
 
 
-def _correct(label: str, amplitudes: np.ndarray, rails: tuple[int, int]) -> np.ndarray:
-    """Bob's correction for a Bell outcome, applied to an amplitude array
-    whose axes ``rails`` are his region-I rails (rail 1, rail 2).
+def _correct(label: str, n1, n2):
+    """Bob's correction for a Bell outcome, as a relabelling of his region-I
+    occupations ``n1`` (rail 1) and ``n2`` (rail 2).
 
+    Returns the corrected occupations and the sign each amplitude takes:
     01 swaps the two rails (dual-rail bit flip), 10 puts a pi phase per
     photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.
     """
     if label not in OUTCOME_LABELS:
         raise ValueError(f"unknown outcome label {label!r}")
-    rail1, rail2 = rails
     if label in ("01", "11"):
-        amplitudes = np.swapaxes(amplitudes, rail1, rail2)
-    if label in ("10", "11"):
-        shape = [1] * amplitudes.ndim
-        shape[rail2] = amplitudes.shape[rail2]
-        parity = np.where(np.arange(shape[rail2]) % 2 == 0, 1.0, -1.0)
-        amplitudes = amplitudes * parity.reshape(shape)
-    return amplitudes
+        n1, n2 = n2, n1
+    sign = np.where(n2 % 2 == 0, 1.0, -1.0) if label in ("10", "11") else 1.0
+    return n1, n2, sign
 
 
 def correction(label: str, cutoff: int = 1) -> np.ndarray:
@@ -236,13 +248,16 @@ def correction(label: str, cutoff: int = 1) -> np.ndarray:
     of the pair, row-major (second mode fastest), at the given cutoff.
     """
     d = cutoff + 1
-    columns = np.eye(d * d, dtype=np.complex128).reshape(d, d, d * d)
-    return _correct(label, columns, (0, 1)).reshape(d * d, d * d)
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    out1, out2, sign = _correct(label, n1, n2)
+    matrix = np.zeros((d * d, d * d), dtype=np.complex128)
+    matrix[out1 * d + out2, np.arange(d * d)] = sign
+    return matrix
 
 
 def fidelity_analytic(params: SqueezeParams) -> float:
     """Closed-form post-correction fidelity 1 / cosh^6 r = (1 - tanh^2 r)^3."""
-    return (1.0 - params.tanh_r**2) ** 3
+    return params.sech2_r**3
 
 
 def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
@@ -252,44 +267,72 @@ def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
     )
 
 
+def _bob_branches(config: ProtocolConfig):
+    """Bob's half of the resource in sector form, one entry per logical
+    branch: |0L> (photon on rail 1), then |1L> (photon on rail 2).
+
+    Each entry is (amplitudes, (n1, n2)): the real amplitudes over Bob's
+    region-II occupations (m1, m2), and the region-I occupations of rails
+    1 and 2 as integer arrays that broadcast against them (m + 1 on the
+    photon rail, m on the vacuum rail).  The two branches occupy disjoint
+    kets, so their squared norms add.  With a derived cutoff, a dual-rail
+    tail above the budget raises ``TruncationBudgetExceeded``.
+    """
+    n_max = config.bob_cutoff()
+    if config.n_max_bob is None:
+        loss = channel.dual_rail_tail(config.params, n_max)
+        if loss > config.epsilon_trunc:
+            raise channel.TruncationBudgetExceeded(loss, config.epsilon_trunc)
+    zero, one = channel._schmidt_coefficients(config.params, n_max)
+    m = np.arange(n_max + 1)
+    m1, m2 = m[:, None], m[None, :]
+    return (
+        (np.multiply.outer(one, zero), (m1 + 1, m2)),
+        (np.multiply.outer(zero, one), (m1, m2 + 1)),
+    )
+
+
 def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
-    """Brute-force teleportation: measure, correct, score.
+    """Teleportation on Bob's sectors: measure, correct, score.
 
     For each Bell outcome, projects the Bell state of Alice's four modes
-    onto the input qubit, which leaves a vector on her ancilla (A1, A2), and
-    projects the six-mode resource onto that vector; the Born probability
-    is the product of the two projection probabilities, and the remainder
-    is Bob's conditional state on (B1I, B1II, B2I, B2II).  Bob's correction
-    acts on the region-I axes, and the fidelity against the ideal
+    onto the input qubit, which leaves a vector v on her ancilla (A1, A2).
+    Projecting the resource (|1,0>_A E0 + |0,1>_A E1) / sqrt(2) onto v
+    leaves Bob the state (conj(v10) E0 + conj(v01) E1) / sqrt(2), held as
+    its two branches (see ``_bob_branches``); the Born probability is the
+    projection weight times that state's squared norm.  Bob's correction
+    relabels the region-I occupations, and the fidelity against the ideal
     dual-rail state, with region II traced out, is
-    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2.
-    Returns the four outcomes in label order 00, 01, 10, 11.
+    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2,
+    read from the entries whose corrected region-I occupations are (1, 0)
+    and (0, 1).  Time and memory are O(n_max^2).  Returns the four outcomes
+    in label order 00, 01, 10, 11.
     """
     qubit = config.input
-    n_max = config.bob_cutoff()
-    budget = config.epsilon_trunc if config.n_max_bob is None else None
-
-    resource = bell_resource(
-        config.params, resource_layout(n_max), n_max, epsilon_trunc=budget
-    )
+    branches = _bob_branches(config)
+    branch_norms = [float(np.vdot(amps, amps)) for amps, _ in branches]
+    targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
     basis = bell_basis(qubit.mode_pair + ALICE_ANCILLA)
     input_state = qubit.state()
 
     outcomes = []
     for label in OUTCOME_LABELS:
         weight, ancilla = project(basis[label], [input_state])
-        conditional_probability, bob = project(resource, [ancilla])
-        probability = weight * conditional_probability
+        v = ancilla.as_tensor()
+        scales = (v[1, 0].conjugate() / math.sqrt(2.0), v[0, 1].conjugate() / math.sqrt(2.0))
+        norm_sq = sum(abs(c) ** 2 * n for c, n in zip(scales, branch_norms))
+        probability = weight * norm_sq
         if probability < DEGENERATE_PROBABILITY:
             outcomes.append(_degenerate_outcome(label, probability))
             continue
-        # axes of Bob's tensor: B1I, B1II, B2I, B2II (resource layout order)
-        psi = _correct(label, bob.as_tensor(), (0, 2))
-        overlap = (
-            qubit.alpha.conjugate() * psi[1, :, 0, :]
-            + qubit.beta.conjugate() * psi[0, :, 1, :]
-        )
-        fidelity = float(np.vdot(overlap, overlap).real)
+        overlap = np.zeros(branches[0][0].shape, dtype=np.complex128)
+        for scale, (amplitudes, occupations) in zip(scales, branches):
+            n1, n2, sign = _correct(label, *occupations)
+            psi = sign * amplitudes
+            for (t1, t2), conj_amp in targets:
+                hit = (n1 == t1) & (n2 == t2)
+                overlap[hit] += conj_amp * scale * psi[hit]
+        fidelity = float(np.vdot(overlap, overlap).real) / norm_sq
         outcomes.append(TeleportOutcome(label, probability, fidelity))
     return outcomes
 
@@ -297,22 +340,17 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
 def premeasure_weight(config: ProtocolConfig) -> tuple[float, float]:
     """Single-excitation weight of Bob's region-I pair before measurement.
 
-    Reduces the shared resource to the region-I rails and measures the
-    weight of the ideal one-photon manifold span{|1,0>, |0,1>}.  Returns
+    The weight of the resource entries whose region-I occupations
+    (n_1I, n_2I) are (1, 0) or (0, 1), i.e. of the ideal one-photon
+    manifold span{|1,0>, |0,1>} in the region-I reduced state.  Returns
     (measured, claimed) where claimed is the closed form 1 / cosh^6 r; the
     two are reported side by side for diagnostics and deliberately not
     asserted equal by this operation.
     """
-    n_max = config.bob_cutoff()
-    budget = config.epsilon_trunc if config.n_max_bob is None else None
-    resource = bell_resource(
-        config.params, resource_layout(n_max), n_max, epsilon_trunc=budget
-    )
-    region_i = (BOB_PAIRS[0].region_I_mode, BOB_PAIRS[1].region_I_mode)
-    rho = reduced_density(resource, region_i)
-    i10 = rho.layout.flat_index((1, 0))
-    i01 = rho.layout.flat_index((0, 1))
-    measured = float(rho.matrix[i10, i10].real + rho.matrix[i01, i01].real)
+    measured = 0.0
+    for amplitudes, (n1, n2) in _bob_branches(config):
+        single = ((n1 == 1) & (n2 == 0)) | ((n1 == 0) & (n2 == 1))
+        measured += 0.5 * float(np.sum(amplitudes[single] ** 2))  # ancilla weight 1/2
     claimed = fidelity_analytic(config.params)
     return measured, claimed
 

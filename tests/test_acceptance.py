@@ -72,6 +72,27 @@ def test_simulated_fidelity_matches_the_analytic_law():
     )
 
 
+def test_strong_squeezing_matches_the_analytic_law():
+    # beyond the reach of a dense Fock simulation: derived cutoffs 125 and
+    # 1312, where the dense six-mode resource would hold 4 * 126^4 and
+    # 4 * 1313^4 amplitudes
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for t in (0.9, 0.99):
+        params = SqueezeParams.from_tanh(t)
+        expected = closed_form(t)
+        for _ in range(3):
+            raw = rng.normal(size=4)
+            raw /= math.sqrt(float(np.sum(raw**2)))
+            qubit = DualRailQubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+            config = ProtocolConfig(params=params, input=qubit, epsilon_trunc=1e-10)
+            for outcome in run_protocol(config):
+                deviation = abs(outcome.fidelity - expected)
+                worst = max(worst, deviation)
+                assert deviation <= 1e-6, (t, outcome.label)
+    print(f"strong squeezing: tanh r in (0.9, 0.99), max |F_sim - F_analytic| = {worst:.3e}")
+
+
 def test_spot_fidelity_values():
     half = SqueezeParams.from_tanh(0.5)
     analytic = closed_form(half.tanh_r)

@@ -1,9 +1,11 @@
 """Parameter sweeps over (radius, frequency) and cutoff-convergence tables."""
 
 import math
+import threading
 
 import pytest
 
+from horizon_teleport import analysis
 from horizon_teleport.analysis import (
     DEFAULT_GRID,
     SweepGrid,
@@ -148,6 +150,20 @@ def test_sweep_is_deterministic_across_worker_counts():
         == sweep(grid, workers=2)
         == sweep(grid, workers=None)
     )
+
+
+def test_sweep_runs_on_the_calling_thread_by_default(monkeypatch):
+    threads = set()
+    evaluate = analysis._evaluate_point
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return evaluate(*args)
+
+    monkeypatch.setattr(analysis, "_evaluate_point", recording)
+    for workers in (None, 0):
+        sweep(SweepGrid(radius_steps=2, omega_steps=2), workers=workers)
+    assert threads == {threading.get_ident()}
 
 
 def test_sweep_validation():

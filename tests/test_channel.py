@@ -1,6 +1,7 @@
 """Horizon channel: squeezing map, state embeddings, thermal reduction."""
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from horizon_teleport.channel import (
     thermal_reduced,
     zero_tail,
 )
+from horizon_teleport.teleport import fidelity_analytic
 
 PAIR = RegionPair("I", "II")
 
@@ -33,6 +35,21 @@ PRODUCT_FOR_TANH_HALF = 0.1103178000763258  # ln 2 / (2 pi)
 
 
 # ---------------------------------------------------------------- squeezing map
+
+
+@pytest.mark.parametrize("product", [1e-9, 1e-12, 1e-14])
+def test_closed_forms_keep_relative_precision_near_divergence(product):
+    # 1 - tanh^2 r = 1 - exp(-x), x = 4 pi M Omega, in 40-digit decimals
+    params = squeeze_param(1.0, product)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sech2 = 1 - (-Decimal(4.0 * math.pi * product)).exp()
+        fidelity = float(sech2**3)
+        sech2 = float(sech2)
+    assert abs(fidelity_analytic(params) / fidelity - 1.0) <= 1e-14
+    assert abs(params.cosh_r**-2 / sech2 - 1.0) <= 1e-14
+    weights = np.diag(thermal_reduced(params, 3).matrix).real
+    assert abs(weights[0] / sech2 - 1.0) <= 1e-14
 
 
 def test_squeeze_param_spot_values():

@@ -1,12 +1,19 @@
 """Teleportation protocol: Bell machinery, corrections, fidelity law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from horizon_teleport import fock, teleport
-from horizon_teleport.channel import SqueezeParams, squeeze_param
+from horizon_teleport.channel import (
+    SqueezeParams,
+    one_tail,
+    required_cutoff,
+    squeeze_param,
+    zero_tail,
+)
 from horizon_teleport.fock import ModeLayout, basis_state, project, reduced_density, tensor
 from horizon_teleport.teleport import (
     ALICE_ANCILLA,
@@ -23,6 +30,7 @@ from horizon_teleport.teleport import (
     resource_layout,
     run_protocol,
 )
+from oracles import dense_protocol
 
 S = 1.0 / math.sqrt(2.0)
 FLAT = squeeze_param(100.0, 100.0)  # exponential underflow: exactly r = 0
@@ -71,6 +79,24 @@ def test_protocol_config_validation():
     assert derived.bob_cutoff() == 19
     explicit = ProtocolConfig(params=params, input=qubit, n_max_bob=7)
     assert explicit.bob_cutoff() == 7
+
+
+@pytest.mark.parametrize("tanh_r, epsilon, n_max", [(0.2815, 1e-10, 11), (0.3235, 1e-6, 8)])
+def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
+    # required_cutoff bounds the one-photon tail only (10 and 7 here); the
+    # budget check holds the dual-rail tail, which needs one more level
+    params = SqueezeParams.from_tanh(tanh_r)
+
+    def loss(n):
+        return 1.0 - (1.0 - zero_tail(params, n)) * (1.0 - one_tail(params, n))
+
+    config = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0), epsilon_trunc=epsilon)
+    assert required_cutoff(params, epsilon) == n_max - 1
+    assert config.bob_cutoff() == n_max
+    assert loss(n_max) <= epsilon < loss(n_max - 1)
+    outcomes = run_protocol(config)
+    assert 1.0 - sum(o.probability for o in outcomes) <= epsilon
+    premeasure_weight(config)
 
 
 # ---------------------------------------------------------------- Bell machinery
@@ -131,6 +157,17 @@ def test_bell_resource_layout_contract():
     bad_bob = ModeLayout(("A1", "A2", "a", "b", "c", "d"), (1, 1, 3, 3, 3, 2))
     with pytest.raises(ValueError):
         bell_resource(params, bad_bob, 3)
+
+
+def test_bell_resource_peak_memory_stays_within_twice_the_result():
+    params = SqueezeParams.from_tanh(0.7)
+    tracemalloc.start()
+    try:
+        state = bell_resource(params, resource_layout(20), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
 
 
 def test_bell_resource_budget():
@@ -309,6 +346,46 @@ def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
             assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12)
 
 
+def _seeded_qubit(seed):
+    raw = np.random.default_rng(seed).normal(size=4)
+    return make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+
+
+@pytest.mark.parametrize(
+    "tanh_r, cutoffs",
+    [(0.0, (1, 5, 12)), (0.3, (1, 5, 12)), (0.7, range(1, 41))],
+    ids=["flat", "tanh0.3", "tanh0.7-every-cutoff-to-40"],
+)
+def test_sector_route_matches_the_dense_oracle(tanh_r, cutoffs):
+    params = SqueezeParams.from_tanh(tanh_r)
+    for n_max in cutoffs:
+        config = ProtocolConfig(
+            params=params, input=_seeded_qubit(100 * n_max + int(10 * tanh_r)), n_max_bob=n_max
+        )
+        dense_outcomes, dense_weight = dense_protocol(config)
+        for outcome, (label, probability, fidelity, flags) in zip(
+            run_protocol(config), dense_outcomes, strict=True
+        ):
+            assert (outcome.label, outcome.flags) == (label, flags), n_max
+            assert outcome.probability == pytest.approx(probability, abs=1e-12), n_max
+            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), n_max
+        measured, _ = premeasure_weight(config)
+        assert measured == pytest.approx(dense_weight, abs=1e-12), n_max
+
+
+@pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 200)])
+def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
+    # n_max 37 and 1312: the dense six-mode resource would be 133 MB and 190 TB
+    config = ProtocolConfig(params=SqueezeParams.from_tanh(tanh_r), input=_seeded_qubit(3))
+    tracemalloc.start()
+    try:
+        run_protocol(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6, peak
+
+
 def test_truncation_error_is_nonincreasing_in_the_cutoff():
     for t in (0.1, 0.3, 0.5, 0.7):
         params = SqueezeParams.from_tanh(t)
@@ -324,8 +401,6 @@ def test_truncation_error_is_nonincreasing_in_the_cutoff():
 
 
 def test_probabilities_complete_up_to_truncation_loss():
-    from horizon_teleport.channel import one_tail, zero_tail
-
     params = SqueezeParams.from_tanh(0.5)
     for n_max in (6, 12):
         outcomes = run_protocol(
