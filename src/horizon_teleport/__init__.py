@@ -2,46 +2,33 @@
 
 Alice holds a free-space dual-rail qubit; Bob hovers near the horizon,
 where each of his rail modes opens into an entangled two-region squeezed
-state.  The package builds the shared resource in a truncated Fock space,
-runs the Bell-measurement protocol by brute force, and compares the
-resulting teleportation fidelity with the closed form (1 - tanh^2 r)^3.
+state.  The package runs the Bell-measurement protocol on Bob's Fock
+sectors, a truncated simulation that holds his state in Schmidt form, and
+compares the resulting teleportation fidelity with the closed form
+(1 - tanh^2 r)^3.  The dense Fock-space route that the tests check it
+against lives in ``tests/oracles.py``, not in the package.
 
 Layers, bottom up: :mod:`~horizon_teleport.fock` (truncated multimode
-states and operators), :mod:`~horizon_teleport.channel` (the horizon
-two-mode-squeezing channel), :mod:`~horizon_teleport.teleport` (the
-protocol), :mod:`~horizon_teleport.analysis` (parameter sweeps and
+states and Alice's projective measurement), :mod:`~horizon_teleport.channel`
+(the horizon two-mode-squeezing channel), :mod:`~horizon_teleport.teleport`
+(the protocol), :mod:`~horizon_teleport.analysis` (parameter sweeps and
 convergence tables), :mod:`~horizon_teleport.cli` (command line).
 """
 
 from .fock import (
-    DEFAULT_TOLERANCES,
-    DensityOperator,
+    TOLERANCE,
     FockVector,
     ModeLayout,
-    Tolerances,
-    annihilate,
     basis_state,
-    create,
-    inner,
-    partial_trace,
     project,
-    reduced_density,
-    tensor,
-    vacuum,
 )
 from .channel import (
     CutoffInfeasible,
     DivergentSqueezing,
-    RegionPair,
     SqueezeParams,
-    TruncationBudgetExceeded,
-    embed_dual_rail,
-    embed_one,
-    embed_zero,
     radius_to_mass,
     required_cutoff,
     squeeze_param,
-    thermal_reduced,
 )
 from .teleport import (
     DualRailQubit,
@@ -49,7 +36,6 @@ from .teleport import (
     TeleportOutcome,
     average_fidelity,
     bell_basis,
-    bell_resource,
     correction,
     fidelity_analytic,
     premeasure_weight,
@@ -65,38 +51,22 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "DensityOperator",
+    "TOLERANCE",
     "FockVector",
     "ModeLayout",
-    "Tolerances",
-    "annihilate",
     "basis_state",
-    "create",
-    "inner",
-    "partial_trace",
     "project",
-    "reduced_density",
-    "tensor",
-    "vacuum",
     "CutoffInfeasible",
     "DivergentSqueezing",
-    "RegionPair",
     "SqueezeParams",
-    "TruncationBudgetExceeded",
-    "embed_dual_rail",
-    "embed_one",
-    "embed_zero",
     "radius_to_mass",
     "required_cutoff",
     "squeeze_param",
-    "thermal_reduced",
     "DualRailQubit",
     "ProtocolConfig",
     "TeleportOutcome",
     "average_fidelity",
     "bell_basis",
-    "bell_resource",
     "correction",
     "fidelity_analytic",
     "premeasure_weight",

@@ -109,11 +109,10 @@ def _evaluate_point(
     mode: str,
     epsilon_trunc: float,
     max_cutoff: int,
-    exponent_scale: float,
 ) -> SweepRecord:
     mass = channel.radius_to_mass(radius)
     try:
-        params = channel.squeeze_param(mass, omega, exponent_scale=exponent_scale)
+        params = channel.squeeze_param(mass, omega)
     except channel.DivergentSqueezing:
         return SweepRecord(
             radius=radius,
@@ -160,7 +159,6 @@ def sweep(
     mode: str = "analytic-only",
     epsilon_trunc: float = 1e-10,
     max_cutoff: int = 40,
-    exponent_scale: float = 1.0,
     workers: int | None = None,
 ) -> list[SweepRecord]:
     """Evaluate the fidelity over the grid, radius-major, deterministically.
@@ -191,9 +189,7 @@ def sweep(
     ]
 
     def evaluate(point: tuple[float, float]) -> SweepRecord:
-        return _evaluate_point(
-            point[0], point[1], mode, epsilon_trunc, max_cutoff, exponent_scale
-        )
+        return _evaluate_point(point[0], point[1], mode, epsilon_trunc, max_cutoff)
 
     if not workers or workers == 1:
         return [evaluate(p) for p in points]
@@ -202,14 +198,17 @@ def sweep(
 
 
 def convergence_report(
-    r_squeeze: float,
+    params: channel.SqueezeParams,
     cutoffs: list[int] | tuple[int, ...],
 ) -> list[tuple[int, float, float]]:
     """Simulated-vs-closed-form fidelity error along ascending cutoffs.
 
     Returns (n_max, |F_numeric - F_analytic|, truncation_loss) per cutoff;
     the error column is nonincreasing up to double-precision jitter because
-    the lost tail weight shrinks geometrically with the cutoff.
+    the lost tail weight shrinks geometrically with the cutoff.  Both the
+    simulation and the closed form read ``params`` as given, so the error
+    is measured against the same ``fidelity_analytic`` that the
+    ``fidelity`` command prints for the point.
     """
     cutoffs = [int(c) for c in cutoffs]
     if not cutoffs:
@@ -219,7 +218,6 @@ def convergence_report(
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly ascending, got {cutoffs}")
 
-    params = channel.SqueezeParams.from_r(r_squeeze)
     analytic = teleport.fidelity_analytic(params)
     rows = []
     for n_max in cutoffs:

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Four subcommands: ``fidelity`` evaluates the closed-form law at one
-parameter point, ``simulate`` runs the brute-force protocol and compares,
-``sweep`` writes the fidelity surface over a (radius, omega) grid, and
-``converge`` tabulates simulation error against the cutoff.
+parameter point, ``simulate`` runs the protocol on Bob's Fock sectors and
+compares, ``sweep`` writes the fidelity surface over a (radius, omega)
+grid, and ``converge`` tabulates simulation error against the cutoff.
 
-Exit codes: 0 success, 1 validation failure, 2 divergent squeezing,
-3 infeasible cutoff.  Output formats are deterministic byte for byte:
+Exit codes: 0 success, 1 validation failure (including a cutoff whose run
+would not fit in physical memory), 2 divergent squeezing, 3 infeasible
+cutoff.  Output formats are deterministic byte for byte:
 floats carry 17 significant digits, lines end with LF, and the CSV and
 JSON writers expose identical field names.  ``HORIZON_TELEPORT_THREADS``
 sets how many threads a sweep uses (0 or unset: one, the calling thread);
@@ -126,7 +127,7 @@ def _resolve_geometry(args) -> tuple[float, float]:
 def _cmd_fidelity(args) -> int:
     radius, mass = _resolve_geometry(args)
     omega = _require_positive(args.omega, "--omega")
-    params = channel.squeeze_param(mass, omega, exponent_scale=args.exponent_scale)
+    params = channel.squeeze_param(mass, omega)
     record = analysis.SweepRecord(
         radius=radius,
         omega=omega,
@@ -156,7 +157,7 @@ def _cmd_simulate(args) -> int:
     scale = 1.0 / math.sqrt(norm_sq)
     qubit = teleport.DualRailQubit(alpha * scale, beta * scale)
 
-    params = channel.squeeze_param(mass, omega, exponent_scale=args.exponent_scale)
+    params = channel.squeeze_param(mass, omega)
     n_max = channel.required_cutoff(params, args.epsilon, hard_cap=args.max_cutoff)
     config = teleport.ProtocolConfig(
         params=params, input=qubit, epsilon_trunc=args.epsilon, n_max_bob=n_max
@@ -229,7 +230,6 @@ def _cmd_sweep(args) -> int:
         mode=args.mode,
         epsilon_trunc=args.epsilon,
         max_cutoff=args.max_cutoff,
-        exponent_scale=args.exponent_scale,
         workers=_sweep_workers(),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -249,10 +249,10 @@ def _cmd_converge(args) -> int:
             raise ValueError("give either --tanh-r or both --mass and --omega")
         mass = _require_positive(args.mass, "--mass")
         omega = _require_positive(args.omega, "--omega")
-        params = channel.squeeze_param(mass, omega, exponent_scale=args.exponent_scale)
+        params = channel.squeeze_param(mass, omega)
 
     cutoffs = [int(piece) for piece in args.cutoffs.split(",") if piece.strip()]
-    rows = analysis.convergence_report(params.r_squeeze, cutoffs)
+    rows = analysis.convergence_report(params, cutoffs)
 
     fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -280,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
-        p.add_argument(
-            "--exponent-scale",
-            type=float,
-            default=1.0,
-            help="multiplies the exponent 2*pi*M*Omega of the channel map",
-        )
         p.set_defaults(func=func)
         return p
 
@@ -296,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True, help="mode frequency (Planck units)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
-    p = add("simulate", "brute-force protocol run vs the closed form", _cmd_simulate)
+    p = add("simulate", "protocol run vs the closed form", _cmd_simulate)
     geom = p.add_mutually_exclusive_group(required=True)
     geom.add_argument("--mass", type=float, help="black-hole mass M (Planck units)")
     geom.add_argument("--radius", type=float, help="horizon radius r+ = 2M (Planck units)")

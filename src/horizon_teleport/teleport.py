@@ -20,27 +20,22 @@ relabelling of the region-I occupations.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
-simulation here exists to verify that law numerically.  ``bell_resource``
-still builds the dense six-mode resource, for checks against the sector
-route; no run path uses it.
+simulation here exists to verify that law numerically.  The dense six-mode
+resource and the protocol run on it are the reference the tests hold this
+route to; they live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
-from .channel import RegionPair, SqueezeParams
-from .fock import (
-    DEFAULT_TOLERANCES,
-    FockVector,
-    ModeLayout,
-    basis_state,
-    project,
-)
+from .channel import SqueezeParams
+from .fock import TOLERANCE, FockVector, ModeLayout, basis_state, project
 
 __all__ = [
     "DualRailQubit",
@@ -48,10 +43,8 @@ __all__ = [
     "ProtocolConfig",
     "OUTCOME_LABELS",
     "DEGENERATE_PROBABILITY",
+    "INPUT_MODES",
     "ALICE_ANCILLA",
-    "BOB_PAIRS",
-    "resource_layout",
-    "bell_resource",
     "bell_basis",
     "correction",
     "run_protocol",
@@ -65,31 +58,31 @@ OUTCOME_LABELS = ("00", "01", "10", "11")
 # outcomes with less weight than this are flagged instead of renormalized
 DEGENERATE_PROBABILITY = 1e-14
 
+INPUT_MODES = ("X1", "X2")
 ALICE_ANCILLA = ("A1", "A2")
-BOB_PAIRS = (RegionPair("B1I", "B1II"), RegionPair("B2I", "B2II"))
+
+# tracemalloc peak of run_protocol per amplitude of one of Bob's branch
+# arrays, (n_max + 1)^2 of them: measured 57 bytes at n_max 100 to 2000
+_PEAK_BYTES_PER_AMPLITUDE = 64
 
 
 @dataclass(frozen=True)
 class DualRailQubit:
-    """Logical qubit alpha |1,0> + beta |0,1> on a named mode pair."""
+    """Logical qubit alpha |1,0> + beta |0,1> on Alice's input modes."""
 
     alpha: complex
     beta: complex
-    mode_pair: tuple[str, str] = ("X1", "X2")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "mode_pair", tuple(self.mode_pair))
-        if len(self.mode_pair) != 2 or self.mode_pair[0] == self.mode_pair[1]:
-            raise ValueError("mode_pair must be two distinct labels")
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > DEFAULT_TOLERANCES.norm:
+        if abs(norm_sq - 1.0) > TOLERANCE:
             raise ValueError(f"qubit not normalized: |alpha|^2 + |beta|^2 = {norm_sq!r}")
 
-    def state(self, cutoff: int = 1) -> FockVector:
-        """The qubit as a Fock vector on its mode pair."""
-        layout = ModeLayout.uniform(self.mode_pair, cutoff)
+    def state(self) -> FockVector:
+        """The qubit as a Fock vector on ``INPUT_MODES`` at cutoff 1."""
+        layout = ModeLayout.uniform(INPUT_MODES, 1)
         return (
             self.alpha * basis_state(layout, (1, 0))
             + self.beta * basis_state(layout, (0, 1))
@@ -133,11 +126,6 @@ class ProtocolConfig:
             )
         if self.n_max_bob is not None and self.n_max_bob < 1:
             raise ValueError(f"n_max_bob must be >= 1, got {self.n_max_bob!r}")
-        reserved = ALICE_ANCILLA + tuple(
-            m for pair in BOB_PAIRS for m in pair.modes
-        )
-        if set(self.input.mode_pair) & set(reserved):
-            raise ValueError(f"input mode labels collide with {reserved}")
 
     def bob_cutoff(self) -> int:
         if self.n_max_bob is not None:
@@ -150,65 +138,15 @@ class ProtocolConfig:
         return n_max
 
 
-def resource_layout(n_max: int) -> ModeLayout:
-    """Standard six-mode layout of the shared resource: Alice's ancilla
-    pair at cutoff 1, then Bob's two (region I, region II) pairs."""
-    bob_modes = tuple(m for pair in BOB_PAIRS for m in pair.modes)
-    return ModeLayout(ALICE_ANCILLA + bob_modes, (1, 1) + (n_max,) * 4)
-
-
-def bell_resource(
-    params: SqueezeParams,
-    layout: ModeLayout,
-    n_max: int,
-    epsilon_trunc: float | None = None,
-) -> FockVector:
-    """The shared entangled resource, Bob's half pushed through the channel.
-
-    (|1,0>_A embed_dual_rail(|0L>) + |0,1>_A embed_dual_rail(|1L>)) / sqrt(2)
-
-    Positional layout contract: modes[0:2] are Alice's dual-rail ancilla at
-    cutoff 1, modes[2:4] and modes[4:6] are Bob's rails as (region I,
-    region II) pairs at cutoff ``n_max``.  At r = 0 this is the flat
-    dual-rail Bell state with region II in vacuum.  A truncation loss above
-    ``epsilon_trunc`` raises ``TruncationBudgetExceeded``.
-
-    The state is dense, 4 (n_max + 1)^4 amplitudes; it is the reference the
-    tests hold the sector route of ``run_protocol`` to, and no run path
-    builds it.
-    """
-    if layout.mode_count != 6:
-        raise ValueError("resource layout needs 6 modes (ancilla pair + two rails)")
-    if layout.cutoffs[:2] != (1, 1):
-        raise ValueError("Alice's ancilla modes must have cutoff 1")
-    if layout.cutoffs[2:] != (n_max,) * 4:
-        raise ValueError(f"Bob's modes must all have cutoff {n_max}")
-
-    pairs = (RegionPair(*layout.modes[2:4]), RegionPair(*layout.modes[4:6]))
-    # each branch goes straight into its ancilla slice, |1,0>_A then |0,1>_A,
-    # and is dropped before the next is built: the peak stays below twice
-    # the result
-    amplitudes = np.zeros((2, 2) + (n_max + 1,) * 4, dtype=np.complex128)
-    for ancilla, logical in (((1, 0), (1.0, 0.0)), ((0, 1), (0.0, 1.0))):
-        branch, _ = channel.embed_dual_rail(
-            DualRailQubit(*logical), params, pairs, n_max, epsilon_trunc
-        )
-        amplitudes[ancilla] = branch.as_tensor()
-        del branch
-    amplitudes *= 1.0 / math.sqrt(2.0)
-    return FockVector(layout, amplitudes.reshape(-1))
-
-
-def bell_basis(
-    mode_labels: tuple[str, str, str, str] = ("X1", "X2", "A1", "A2"),
-) -> dict[str, FockVector]:
-    """The four dual-rail Bell states on two logical qubits (four modes).
+def bell_basis() -> dict[str, FockVector]:
+    """The four dual-rail Bell states on Alice's four modes, the input
+    qubit's ``INPUT_MODES`` and her half of the pair, ``ALICE_ANCILLA``.
 
     Outcome labels are assigned so that projecting the full protocol state
     yields Bob's conditional logical amplitudes (alpha, beta), (beta,
     alpha), (alpha, -beta), (-beta, alpha) for 00, 01, 10, 11.
     """
-    layout = ModeLayout.uniform(tuple(mode_labels), 1)
+    layout = ModeLayout.uniform(INPUT_MODES + ALICE_ANCILLA, 1)
     zz = basis_state(layout, (1, 0, 1, 0))  # |0L 0L>
     oo = basis_state(layout, (0, 1, 0, 1))  # |1L 1L>
     zo = basis_state(layout, (1, 0, 0, 1))  # |0L 1L>
@@ -275,14 +213,18 @@ def _bob_branches(config: ProtocolConfig):
     region-II occupations (m1, m2), and the region-I occupations of rails
     1 and 2 as integer arrays that broadcast against them (m + 1 on the
     photon rail, m on the vacuum rail).  The two branches occupy disjoint
-    kets, so their squared norms add.  With a derived cutoff, a dual-rail
-    tail above the budget raises ``TruncationBudgetExceeded``.
+    kets, so their squared norms add.  A cutoff whose run would need more
+    than the machine's physical memory raises ``ValueError`` before any
+    array is allocated.
     """
     n_max = config.bob_cutoff()
-    if config.n_max_bob is None:
-        loss = channel.dual_rail_tail(config.params, n_max)
-        if loss > config.epsilon_trunc:
-            raise channel.TruncationBudgetExceeded(loss, config.epsilon_trunc)
+    needed = _PEAK_BYTES_PER_AMPLITUDE * (n_max + 1) ** 2
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(
+            f"cutoff {n_max} needs about {needed / 1e9:.3g} GB for Bob's state, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
+        )
     zero, one = channel._schmidt_coefficients(config.params, n_max)
     m = np.arange(n_max + 1)
     m1, m2 = m[:, None], m[None, :]
@@ -305,19 +247,20 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
     dual-rail state, with region II traced out, is
     F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2,
     read from the entries whose corrected region-I occupations are (1, 0)
-    and (0, 1).  Time and memory are O(n_max^2).  Returns the four outcomes
-    in label order 00, 01, 10, 11.
+    and (0, 1).  Time and memory are O(n_max^2); a cutoff whose arrays
+    would not fit in physical memory raises ``ValueError`` before they are
+    allocated.  Returns the four outcomes in label order 00, 01, 10, 11.
     """
     qubit = config.input
     branches = _bob_branches(config)
     branch_norms = [float(np.vdot(amps, amps)) for amps, _ in branches]
     targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
-    basis = bell_basis(qubit.mode_pair + ALICE_ANCILLA)
+    basis = bell_basis()
     input_state = qubit.state()
 
     outcomes = []
     for label in OUTCOME_LABELS:
-        weight, ancilla = project(basis[label], [input_state])
+        weight, ancilla = project(basis[label], input_state)
         v = ancilla.as_tensor()
         scales = (v[1, 0].conjugate() / math.sqrt(2.0), v[0, 1].conjugate() / math.sqrt(2.0))
         norm_sq = sum(abs(c) ** 2 * n for c, n in zip(scales, branch_norms))

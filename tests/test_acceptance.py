@@ -14,24 +14,14 @@ import pytest
 
 from horizon_teleport import cli
 from horizon_teleport.analysis import DEFAULT_GRID, sweep
-from horizon_teleport.channel import (
-    RegionPair,
-    SqueezeParams,
-    embed_one,
-    embed_zero,
-    one_tail,
-    required_cutoff,
-    squeeze_param,
-    thermal_reduced,
-    zero_tail,
-)
-from horizon_teleport.fock import inner
+from horizon_teleport.channel import SqueezeParams, required_cutoff, squeeze_param
 from horizon_teleport.teleport import (
     DualRailQubit,
     ProtocolConfig,
     premeasure_weight,
     run_protocol,
 )
+from oracles import RegionPair, embed_one, embed_zero, inner, thermal_reduced
 
 
 def closed_form(tanh_r):

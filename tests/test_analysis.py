@@ -5,14 +5,14 @@ import threading
 
 import pytest
 
-from horizon_teleport import analysis
+from horizon_teleport import analysis, teleport
 from horizon_teleport.analysis import (
     DEFAULT_GRID,
     SweepGrid,
     convergence_report,
     sweep,
 )
-from horizon_teleport.channel import SqueezeParams, one_tail, zero_tail
+from horizon_teleport.channel import SqueezeParams, one_tail, squeeze_param, zero_tail
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -179,7 +179,7 @@ def test_sweep_validation():
 
 
 def test_convergence_report_flat_is_exact():
-    rows = convergence_report(0.0, [1, 2])
+    rows = convergence_report(SqueezeParams.from_r(0.0), [1, 2])
     assert [n for n, _, _ in rows] == [1, 2]
     for _, error, loss in rows:
         assert error <= 1e-12
@@ -188,7 +188,7 @@ def test_convergence_report_flat_is_exact():
 
 def test_convergence_report_error_decreases():
     params = SqueezeParams.from_tanh(0.5)
-    rows = convergence_report(params.r_squeeze, [5, 10, 20, 30])
+    rows = convergence_report(params, [5, 10, 20, 30])
     errors = [error for _, error, _ in rows]
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-6
@@ -202,19 +202,30 @@ def test_convergence_report_error_decreases():
 
 def test_convergence_loss_shrinks_geometrically():
     params = SqueezeParams.from_tanh(0.5)
-    rows = convergence_report(params.r_squeeze, [5, 6, 7, 8])
+    rows = convergence_report(params, [5, 6, 7, 8])
     losses = [loss for _, _, loss in rows]
     ratios = [b / a for a, b in zip(losses, losses[1:])]
     for ratio in ratios:  # dominated by the tanh^2 r tail ratio
         assert 0.2 <= ratio <= 0.35
 
 
+def test_convergence_report_measures_against_the_given_closed_form(monkeypatch):
+    # at M Omega = 1e-7, 1 - tanh^2 r is 1.3e-6: rebuilding the parameters
+    # from r moves the closed form by 1.7e-10 relative; a zero numeric
+    # fidelity makes the error column the closed form itself
+    params = squeeze_param(1e-3, 1e-4)
+    monkeypatch.setattr(teleport, "average_fidelity", lambda outcomes: 0.0)
+    rows = convergence_report(params, [1, 2])
+    assert [error for _, error, _ in rows] == [teleport.fidelity_analytic(params)] * 2
+
+
 def test_convergence_report_validation():
+    params = SqueezeParams.from_r(0.5)
     with pytest.raises(ValueError):
-        convergence_report(0.5, [])
+        convergence_report(params, [])
     with pytest.raises(ValueError):
-        convergence_report(0.5, [10, 5])
+        convergence_report(params, [10, 5])
     with pytest.raises(ValueError):
-        convergence_report(0.5, [0, 5])
+        convergence_report(params, [0, 5])
     with pytest.raises(ValueError):
-        convergence_report(-0.5, [5])
+        convergence_report(SqueezeParams.from_r(-0.5), [5])

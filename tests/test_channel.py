@@ -1,4 +1,5 @@
-"""Horizon channel: squeezing map, state embeddings, thermal reduction."""
+"""Horizon channel: squeezing map, tails and cutoffs in the package; the
+dense state embeddings and thermal reduction in the oracle."""
 
 import math
 from decimal import Decimal, localcontext
@@ -7,24 +8,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from horizon_teleport import fock
 from horizon_teleport.channel import (
     CutoffInfeasible,
     DivergentSqueezing,
-    RegionPair,
     SqueezeParams,
-    TruncationBudgetExceeded,
-    embed_dual_rail,
-    embed_one,
-    embed_zero,
     one_tail,
     radius_to_mass,
     required_cutoff,
     squeeze_param,
-    thermal_reduced,
     zero_tail,
 )
 from horizon_teleport.teleport import fidelity_analytic
+
+import oracles
+from oracles import (
+    RegionPair,
+    TruncationBudgetExceeded,
+    embed_dual_rail,
+    embed_one,
+    embed_zero,
+    thermal_reduced,
+)
 
 PAIR = RegionPair("I", "II")
 
@@ -101,20 +105,6 @@ def test_divergent_squeezing():
     for mass in (0.0, -1.0):
         with pytest.raises(DivergentSqueezing):
             squeeze_param(mass, 1.0)
-
-
-def test_exponent_scale_multiplies_the_exponent():
-    assert (
-        squeeze_param(0.3, 0.7, exponent_scale=2.0).r_squeeze
-        == squeeze_param(0.3, 1.4).r_squeeze
-    )
-    assert (
-        squeeze_param(0.3, 0.7, exponent_scale=0.5).r_squeeze
-        == squeeze_param(0.3, 0.35).r_squeeze
-    )
-    assert SqueezeParams.from_tanh(0.3, exponent_scale=3.0).tanh_r == pytest.approx(
-        0.3, abs=1e-15
-    )
 
 
 def test_r_strictly_decreasing_in_the_product():
@@ -205,7 +195,7 @@ def test_embeddings_are_orthogonal():
     params = SqueezeParams.from_tanh(0.5)
     zero, _ = embed_zero(params, PAIR, 30)
     one, _ = embed_one(params, PAIR, 30)
-    assert abs(fock.inner(zero, one)) <= 1e-10
+    assert abs(oracles.inner(zero, one)) <= 1e-10
 
 
 def test_embedding_budget_enforced():
@@ -228,8 +218,8 @@ def test_one_photon_embedding_matches_squeezed_creation_oracle():
     zero, _ = embed_zero(params, PAIR, n_max)
     one, _ = embed_one(params, PAIR, n_max)
 
-    raised, _ = fock.create(zero, "I")
-    lowered, _ = fock.annihilate(zero, "II")
+    raised, _ = oracles.create(zero, "I")
+    lowered, _ = oracles.annihilate(zero, "II")
     candidate = params.cosh_r * raised + (-params.sinh_r) * lowered
     np.testing.assert_allclose(candidate.amplitudes, one.amplitudes, atol=1e-12)
 
@@ -296,7 +286,7 @@ def test_thermal_equals_traced_vacuum_embedding():
     params = SqueezeParams.from_tanh(0.5)
     n_max = 20
     state, _ = embed_zero(params, PAIR, n_max)
-    traced = fock.reduced_density(state, ("I",))
+    traced = oracles.reduced_density(state, ("I",))
     direct = thermal_reduced(params, n_max)
     np.testing.assert_allclose(direct.matrix, traced.matrix, atol=1e-12)
 

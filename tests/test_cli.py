@@ -279,6 +279,14 @@ def test_converge_accepts_mass_and_omega(capsys):
     assert len(rows) == 2
 
 
+def test_cutoff_beyond_physical_memory_exits_1(capsys):
+    # cutoff 10^7 would need 6.4 PB; refused before anything is allocated
+    assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "10000000"]) == 1
+    err = capsys.readouterr().err
+    assert "cutoff 10000000" in err
+    assert "physical memory" in err
+
+
 def test_converge_validation_exit_codes(capsys):
     assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", ""]) == 1
     assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "10,5"]) == 1
@@ -296,17 +304,6 @@ def test_every_subcommand_help_lists_defaults(capsys):
         assert run_cli([name, "--help"]) == 0
         out = capsys.readouterr().out
         assert "(default:" in out
-        assert "--exponent-scale" in out
-
-
-def test_exponent_scale_threads_through(capsys):
-    assert run_cli(["fidelity", "--mass", "0.5", "--omega", "2", "--exponent-scale", "0.5"]) == 0
-    scaled = capsys.readouterr().out.splitlines()[1].split(",")
-    assert run_cli(["fidelity", "--mass", "0.5", "--omega", "1"]) == 0
-    plain = capsys.readouterr().out.splitlines()[1].split(",")
-    # same squeezing and fidelity, different recorded omega
-    assert scaled[3:5] == plain[3:5]
-    assert scaled[1] != plain[1]
 
 
 def test_module_entry_point_runs():

@@ -5,16 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizon_teleport import fock, teleport
 from horizon_teleport.channel import (
     SqueezeParams,
+    dual_rail_tail,
     one_tail,
     required_cutoff,
     squeeze_param,
     zero_tail,
 )
-from horizon_teleport.fock import ModeLayout, basis_state, project, reduced_density, tensor
+from horizon_teleport.fock import ModeLayout, basis_state, project
 from horizon_teleport.teleport import (
     ALICE_ANCILLA,
     DEGENERATE_PROBABILITY,
@@ -23,14 +26,20 @@ from horizon_teleport.teleport import (
     ProtocolConfig,
     average_fidelity,
     bell_basis,
-    bell_resource,
     correction,
     fidelity_analytic,
     premeasure_weight,
-    resource_layout,
     run_protocol,
 )
-from oracles import dense_protocol
+from oracles import (
+    TruncationBudgetExceeded,
+    bell_resource,
+    dense_protocol,
+    inner,
+    reduced_density,
+    resource_layout,
+    tensor,
+)
 
 S = 1.0 / math.sqrt(2.0)
 FLAT = squeeze_param(100.0, 100.0)  # exponential underflow: exactly r = 0
@@ -55,9 +64,9 @@ def make_qubit(alpha, beta):
 def test_dual_rail_qubit_validation_and_state():
     with pytest.raises(ValueError):
         DualRailQubit(1.0, 1.0)
-    qubit = DualRailQubit(0.6, 0.8j, mode_pair=("L", "R"))
+    qubit = DualRailQubit(0.6, 0.8j)
     state = qubit.state()
-    assert state.layout.modes == ("L", "R")
+    assert state.layout.modes == ("X1", "X2")
     assert state.amplitudes[state.layout.flat_index((1, 0))] == 0.6
     assert state.amplitudes[state.layout.flat_index((0, 1))] == 0.8j
 
@@ -70,10 +79,6 @@ def test_protocol_config_validation():
             ProtocolConfig(params=params, input=qubit, epsilon_trunc=bad_eps)
     with pytest.raises(ValueError):
         ProtocolConfig(params=params, input=qubit, n_max_bob=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(
-            params=params, input=DualRailQubit(1.0, 0.0, mode_pair=ALICE_ANCILLA)
-        )
 
     derived = ProtocolConfig(params=params, input=qubit, epsilon_trunc=1e-10)
     assert derived.bob_cutoff() == 19
@@ -107,7 +112,7 @@ def test_bell_basis_orthonormal_in_the_two_photon_sector():
     assert list(basis) == list(OUTCOME_LABELS)
     vectors = list(basis.values())
     gram = np.array(
-        [[fock.inner(u, v) for v in vectors] for u in vectors]
+        [[inner(u, v) for v in vectors] for u in vectors]
     )
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
 
@@ -141,7 +146,7 @@ def test_bell_resource_norm_and_alice_marginal():
     assert state.norm() == pytest.approx(1.0, abs=1e-8)
 
     flat_state = bell_resource(FLAT, resource_layout(1), 1)
-    marginal = fock.reduced_density(flat_state, ALICE_ANCILLA)
+    marginal = reduced_density(flat_state, ALICE_ANCILLA)
     np.testing.assert_allclose(
         marginal.matrix, np.diag([0, 0.5, 0.5, 0]), atol=1e-14
     )
@@ -172,7 +177,7 @@ def test_bell_resource_peak_memory_stays_within_twice_the_result():
 
 def test_bell_resource_budget():
     params = SqueezeParams.from_tanh(0.9)
-    with pytest.raises(teleport.channel.TruncationBudgetExceeded):
+    with pytest.raises(TruncationBudgetExceeded):
         bell_resource(params, resource_layout(2), 2, epsilon_trunc=1e-8)
 
 
@@ -246,11 +251,11 @@ def test_conditional_amplitudes_match_the_outcome_table():
     qubit = DualRailQubit(alpha, beta)
     resource = bell_resource(FLAT, resource_layout(1), 1)
     full = tensor(qubit.state(), resource)
-    basis = bell_basis(("X1", "X2") + ALICE_ANCILLA)
+    basis = bell_basis()
 
     for label, conditional in CONDITIONAL_TABLE.items():
         x, y = conditional(alpha, beta)
-        prob, state = project(full, [basis[label]])
+        prob, state = project(full, basis[label])
         assert prob == pytest.approx(0.25, abs=1e-12)
         assert state.layout.modes == ("B1I", "B1II", "B2I", "B2II")
         got_x = state.amplitudes[state.layout.flat_index((1, 0, 0, 0))]
@@ -287,20 +292,6 @@ def test_outcomes_are_equivalent_after_correction():
     assert max(probabilities) - min(probabilities) <= 1e-8
 
 
-def test_fidelity_is_input_independent():
-    params = SqueezeParams.from_tanh(0.3)
-    rng = np.random.default_rng(7)
-    values = []
-    for _ in range(50):
-        raw = rng.normal(size=4)
-        qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-        outcomes = run_protocol(
-            ProtocolConfig(params=params, input=qubit, n_max_bob=11)
-        )
-        values.append(average_fidelity(outcomes))
-    assert max(values) - min(values) <= 1e-6
-
-
 def _eight_mode_protocol(config):
     """The protocol on the full eight-mode input-resource state: project
     each Bell outcome, apply the correction matrix to the region-I axes,
@@ -308,12 +299,12 @@ def _eight_mode_protocol(config):
     qubit, n_max = config.input, config.bob_cutoff()
     d = n_max + 1
     full = tensor(qubit.state(), bell_resource(config.params, resource_layout(n_max), n_max))
-    basis = bell_basis(qubit.mode_pair + ALICE_ANCILLA)
+    basis = bell_basis()
     pair = ModeLayout.uniform(("B1I", "B2I"), n_max)
     phi = qubit.alpha * basis_state(pair, (1, 0)) + qubit.beta * basis_state(pair, (0, 1))
     outcomes = []
     for label in OUTCOME_LABELS:
-        probability, conditional = project(full, [basis[label]])
+        probability, conditional = project(full, basis[label])
         u = correction(label, n_max).reshape(d, d, d, d)
         # (out1, out2) x (B1II, B2II), back to (B1I, B1II, B2I, B2II)
         corrected = np.tensordot(u, conditional.as_tensor(), axes=([2, 3], [0, 2]))
@@ -386,6 +377,31 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
     assert peak < limit_mb * 1e6, peak
 
 
+def test_memory_preflight_bounds_the_measured_peak():
+    n_max = 300
+    config = ProtocolConfig(
+        params=SqueezeParams.from_tanh(0.99), input=_seeded_qubit(5), n_max_bob=n_max
+    )
+    tracemalloc.start()
+    try:
+        run_protocol(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= teleport._PEAK_BYTES_PER_AMPLITUDE * (n_max + 1) ** 2, peak
+
+
+def test_cutoff_beyond_physical_memory_is_refused_before_allocation():
+    # 64 (10^7 + 1)^2 bytes is 6.4 PB: without the preflight the first
+    # branch array (800 TB) fails in malloc
+    config = ProtocolConfig(
+        params=SqueezeParams.from_tanh(0.5), input=DualRailQubit(1.0, 0.0), n_max_bob=10**7
+    )
+    for run in (run_protocol, premeasure_weight):
+        with pytest.raises(ValueError, match="physical memory"):
+            run(config)
+
+
 def test_truncation_error_is_nonincreasing_in_the_cutoff():
     for t in (0.1, 0.3, 0.5, 0.7):
         params = SqueezeParams.from_tanh(t)
@@ -400,6 +416,20 @@ def test_truncation_error_is_nonincreasing_in_the_cutoff():
             assert current <= previous + 1e-12, (t, errors)
 
 
+def test_fidelity_is_input_independent():
+    params = SqueezeParams.from_tanh(0.3)
+    rng = np.random.default_rng(7)
+    values = []
+    for _ in range(50):
+        raw = rng.normal(size=4)
+        qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+        outcomes = run_protocol(
+            ProtocolConfig(params=params, input=qubit, n_max_bob=11)
+        )
+        values.append(average_fidelity(outcomes))
+    assert max(values) - min(values) <= 1e-6
+
+
 def test_probabilities_complete_up_to_truncation_loss():
     params = SqueezeParams.from_tanh(0.5)
     for n_max in (6, 12):
@@ -409,6 +439,30 @@ def test_probabilities_complete_up_to_truncation_loss():
         loss = 1.0 - (1.0 - zero_tail(params, n_max)) * (1.0 - one_tail(params, n_max))
         total = sum(o.probability for o in outcomes)
         assert total + loss == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    tanh_r=st.floats(0.0, 0.95),
+    n_max=st.integers(1, 40),
+    theta=st.floats(0.0, math.pi),
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+)
+def test_every_outcome_has_the_predicted_probability_and_fidelity(tanh_r, n_max, theta, phases):
+    # each outcome carries a quarter of the kept weight, and its fidelity,
+    # scaled by that weight, is the closed form, for any input qubit
+    params = SqueezeParams.from_tanh(tanh_r)
+    qubit = DualRailQubit(
+        math.cos(theta / 2) * complex(math.cos(phases[0]), math.sin(phases[0])),
+        math.sin(theta / 2) * complex(math.cos(phases[1]), math.sin(phases[1])),
+    )
+    kept = 1.0 - dual_rail_tail(params, n_max)
+    target = fidelity_analytic(params)
+    outcomes = run_protocol(ProtocolConfig(params=params, input=qubit, n_max_bob=n_max))
+    for o in outcomes:
+        assert o.flags == ()
+        assert o.probability == pytest.approx(kept / 4, abs=1e-13)
+        assert o.fidelity * kept == pytest.approx(target, rel=1e-13)
 
 
 def test_reported_values_stay_in_bounds():
