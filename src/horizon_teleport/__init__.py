@@ -5,23 +5,19 @@ where each of his rail modes opens into an entangled two-region squeezed
 state.  The package runs the Bell-measurement protocol on Bob's Fock
 sectors, a truncated simulation that holds his state in Schmidt form, and
 compares the resulting teleportation fidelity with the closed form
-(1 - tanh^2 r)^3.  The dense Fock-space route that the tests check it
-against lives in ``tests/oracles.py``, not in the package.
+(1 - tanh^2 r)^3.  Alice's side is 2x2 linear algebra on the logical
+amplitudes (alpha, beta), since her input and her Bell states carry one
+photon per dual-rail pair.  The dense Fock-space route that the tests check
+it against, with its own Fock toolkit and Bell states, lives in
+``tests/oracles.py``, not in the package.
 
-Layers, bottom up: :mod:`~horizon_teleport.fock` (truncated multimode
-states and Alice's projective measurement), :mod:`~horizon_teleport.channel`
+Layers, bottom up: :mod:`~horizon_teleport.fock` (Alice's projective
+measurement, one ``project``), :mod:`~horizon_teleport.channel`
 (the horizon two-mode-squeezing channel), :mod:`~horizon_teleport.teleport`
 (the protocol), :mod:`~horizon_teleport.analysis` (parameter sweeps and
 convergence tables), :mod:`~horizon_teleport.cli` (command line).
 """
 
-from .fock import (
-    TOLERANCE,
-    FockVector,
-    ModeLayout,
-    basis_state,
-    project,
-)
 from .channel import (
     CutoffInfeasible,
     DivergentSqueezing,
@@ -35,8 +31,6 @@ from .teleport import (
     ProtocolConfig,
     TeleportOutcome,
     average_fidelity,
-    bell_basis,
-    correction,
     fidelity_analytic,
     premeasure_weight,
     run_protocol,
@@ -51,11 +45,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TOLERANCE",
-    "FockVector",
-    "ModeLayout",
-    "basis_state",
-    "project",
     "CutoffInfeasible",
     "DivergentSqueezing",
     "SqueezeParams",
@@ -66,8 +55,6 @@ __all__ = [
     "ProtocolConfig",
     "TeleportOutcome",
     "average_fidelity",
-    "bell_basis",
-    "correction",
     "fidelity_analytic",
     "premeasure_weight",
     "run_protocol",

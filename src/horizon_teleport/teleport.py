@@ -1,28 +1,30 @@
 """Dual-rail teleportation from flat space to a near-horizon observer.
 
-Alice holds an unknown dual-rail qubit alpha |1,0> + beta |0,1> on a mode
-pair (X1, X2) and half of a dual-rail Bell pair on (A1, A2).  Bob's half of
-the Bell pair lives near the horizon, so each of his logical basis states
-is the channel embedding of a photon-number state across region I and
-region II (modes B1I, B1II, B2I, B2II).  Alice measures (X1, X2, A1, A2)
-in the dual-rail Bell basis, Bob applies the outcome's correction unitary
-to his accessible region-I rails, and region II is traced out.
+Alice holds an unknown dual-rail qubit alpha |1,0> + beta |0,1> on an
+input mode pair and half of a dual-rail Bell pair on an ancilla pair.
+Bob's half of the Bell pair lives near the horizon, so each of his logical
+basis states is the channel embedding of a photon-number state across
+region I and region II (modes B1I, B1II, B2I, B2II).  Alice measures her
+four modes in the dual-rail Bell basis, Bob applies the outcome's
+correction unitary to his accessible region-I rails, and region II is
+traced out.
 
 The protocol runs on sectors, not on a dense resource.  Two-mode squeezing
 fixes n_I - n_II on each rail (|m, m> for the vacuum, |m+1, m> for one
 photon), so each logical branch of Bob's state is one amplitude array over
 his region-II occupations (m1, m2), and the branch fixes the region-I
 occupations.  Bob's state then has O(n_max^2) amplitudes where the dense
-four-mode tensor has O(n_max^4).  Alice's Bell measurement is a
-``fock.project`` of the Bell state onto the input qubit; it leaves a vector
-on her ancilla (A1, A2) that weights the two branches.  The correction is a
-relabelling of the region-I occupations.
+four-mode tensor has O(n_max^4).  Alice's input and her Bell states carry
+one photon per dual-rail pair, so her Bell measurement is 2x2 linear
+algebra in the logical basis: ``fock.project`` of a row of ``BELL_TABLE``
+onto (alpha, beta) leaves a 2-vector on her ancilla that weights the two
+branches.  The correction is a relabelling of the region-I occupations.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
 simulation here exists to verify that law numerically.  The dense six-mode
-resource and the protocol run on it are the reference the tests hold this
-route to; they live in ``tests/oracles.py``.
+resource, the Fock-space Bell states and the protocol run on them are the
+reference the tests hold this route to; they live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import channel
 from .channel import SqueezeParams
-from .fock import TOLERANCE, FockVector, ModeLayout, basis_state, project
+from .fock import TOLERANCE, project
 
 __all__ = [
     "DualRailQubit",
@@ -43,10 +45,7 @@ __all__ = [
     "ProtocolConfig",
     "OUTCOME_LABELS",
     "DEGENERATE_PROBABILITY",
-    "INPUT_MODES",
-    "ALICE_ANCILLA",
-    "bell_basis",
-    "correction",
+    "BELL_TABLE",
     "run_protocol",
     "fidelity_analytic",
     "premeasure_weight",
@@ -55,11 +54,24 @@ __all__ = [
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
+# The four dual-rail Bell states of Alice's input pair and her ancilla in
+# the logical basis, axes (outcome, input bit, ancilla bit), in
+# OUTCOME_LABELS order.  Projecting each onto the input (alpha, beta) leaves
+# Bob the conditional logical amplitudes (alpha, beta), (beta, alpha),
+# (alpha, -beta), (-beta, alpha), which ``_correct`` undoes.
+BELL_TABLE = np.array(
+    [
+        [[1, 0], [0, 1]],  # (|0L 0L> + |1L 1L>) / sqrt(2)
+        [[0, 1], [1, 0]],  # (|0L 1L> + |1L 0L>) / sqrt(2)
+        [[1, 0], [0, -1]],  # (|0L 0L> - |1L 1L>) / sqrt(2)
+        [[0, 1], [-1, 0]],  # (|0L 1L> - |1L 0L>) / sqrt(2)
+    ],
+    dtype=np.complex128,
+) / math.sqrt(2.0)
+BELL_TABLE.setflags(write=False)
+
 # outcomes with less weight than this are flagged instead of renormalized
 DEGENERATE_PROBABILITY = 1e-14
-
-INPUT_MODES = ("X1", "X2")
-ALICE_ANCILLA = ("A1", "A2")
 
 # tracemalloc peak of run_protocol per amplitude of one of Bob's branch
 # arrays, (n_max + 1)^2 of them: measured 57 bytes at n_max 100 to 2000
@@ -68,7 +80,7 @@ _PEAK_BYTES_PER_AMPLITUDE = 64
 
 @dataclass(frozen=True)
 class DualRailQubit:
-    """Logical qubit alpha |1,0> + beta |0,1> on Alice's input modes."""
+    """Logical qubit alpha |1,0> + beta |0,1> on Alice's input pair."""
 
     alpha: complex
     beta: complex
@@ -79,14 +91,6 @@ class DualRailQubit:
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm_sq - 1.0) > TOLERANCE:
             raise ValueError(f"qubit not normalized: |alpha|^2 + |beta|^2 = {norm_sq!r}")
-
-    def state(self) -> FockVector:
-        """The qubit as a Fock vector on ``INPUT_MODES`` at cutoff 1."""
-        layout = ModeLayout.uniform(INPUT_MODES, 1)
-        return (
-            self.alpha * basis_state(layout, (1, 0))
-            + self.beta * basis_state(layout, (0, 1))
-        )
 
 
 @dataclass(frozen=True)
@@ -138,28 +142,6 @@ class ProtocolConfig:
         return n_max
 
 
-def bell_basis() -> dict[str, FockVector]:
-    """The four dual-rail Bell states on Alice's four modes, the input
-    qubit's ``INPUT_MODES`` and her half of the pair, ``ALICE_ANCILLA``.
-
-    Outcome labels are assigned so that projecting the full protocol state
-    yields Bob's conditional logical amplitudes (alpha, beta), (beta,
-    alpha), (alpha, -beta), (-beta, alpha) for 00, 01, 10, 11.
-    """
-    layout = ModeLayout.uniform(INPUT_MODES + ALICE_ANCILLA, 1)
-    zz = basis_state(layout, (1, 0, 1, 0))  # |0L 0L>
-    oo = basis_state(layout, (0, 1, 0, 1))  # |1L 1L>
-    zo = basis_state(layout, (1, 0, 0, 1))  # |0L 1L>
-    oz = basis_state(layout, (0, 1, 1, 0))  # |1L 0L>
-    s = 1.0 / math.sqrt(2.0)
-    return {
-        "00": s * (zz + oo),
-        "01": s * (zo + oz),
-        "10": s * (zz - oo),
-        "11": s * (zo - oz),
-    }
-
-
 def _correct(label: str, n1, n2):
     """Bob's correction for a Bell outcome, as a relabelling of his region-I
     occupations ``n1`` (rail 1) and ``n2`` (rail 2).
@@ -174,23 +156,6 @@ def _correct(label: str, n1, n2):
         n1, n2 = n2, n1
     sign = np.where(n2 % 2 == 0, 1.0, -1.0) if label in ("10", "11") else 1.0
     return n1, n2, sign
-
-
-def correction(label: str, cutoff: int = 1) -> np.ndarray:
-    """Bob's correction unitary for a Bell outcome, on his region-I pair.
-
-    00: identity.  01: dual-rail bit flip, i.e. swap of the two rails.
-    10: dual-rail phase flip, a pi phase per photon on the second rail.
-    11: flip then phase.  Each maps the outcome's conditional logical
-    amplitudes back to (alpha, beta).  The matrix acts on the joint basis
-    of the pair, row-major (second mode fastest), at the given cutoff.
-    """
-    d = cutoff + 1
-    n1, n2 = np.divmod(np.arange(d * d), d)
-    out1, out2, sign = _correct(label, n1, n2)
-    matrix = np.zeros((d * d, d * d), dtype=np.complex128)
-    matrix[out1 * d + out2, np.arange(d * d)] = sign
-    return matrix
 
 
 def fidelity_analytic(params: SqueezeParams) -> float:
@@ -237,10 +202,10 @@ def _bob_branches(config: ProtocolConfig):
 def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
     """Teleportation on Bob's sectors: measure, correct, score.
 
-    For each Bell outcome, projects the Bell state of Alice's four modes
-    onto the input qubit, which leaves a vector v on her ancilla (A1, A2).
-    Projecting the resource (|1,0>_A E0 + |0,1>_A E1) / sqrt(2) onto v
-    leaves Bob the state (conj(v10) E0 + conj(v01) E1) / sqrt(2), held as
+    For each Bell outcome, projects its row of ``BELL_TABLE`` onto the input
+    (alpha, beta), which leaves a logical vector v on Alice's ancilla.
+    Projecting the resource (|0L>_A E0 + |1L>_A E1) / sqrt(2) onto v
+    leaves Bob the state (conj(v0) E0 + conj(v1) E1) / sqrt(2), held as
     its two branches (see ``_bob_branches``); the Born probability is the
     projection weight times that state's squared norm.  Bob's correction
     relabels the region-I occupations, and the fidelity against the ideal
@@ -255,14 +220,12 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
     branches = _bob_branches(config)
     branch_norms = [float(np.vdot(amps, amps)) for amps, _ in branches]
     targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
-    basis = bell_basis()
-    input_state = qubit.state()
+    logical = np.array([qubit.alpha, qubit.beta])
 
     outcomes = []
-    for label in OUTCOME_LABELS:
-        weight, ancilla = project(basis[label], input_state)
-        v = ancilla.as_tensor()
-        scales = (v[1, 0].conjugate() / math.sqrt(2.0), v[0, 1].conjugate() / math.sqrt(2.0))
+    for label, bell in zip(OUTCOME_LABELS, BELL_TABLE):
+        weight, v = project(bell, logical)
+        scales = (v[0].conjugate() / math.sqrt(2.0), v[1].conjugate() / math.sqrt(2.0))
         norm_sq = sum(abs(c) ** 2 * n for c, n in zip(scales, branch_norms))
         probability = weight * norm_sq
         if probability < DEGENERATE_PROBABILITY:
@@ -304,5 +267,9 @@ def average_fidelity(outcomes: list[TeleportOutcome]) -> float:
     values = [o.fidelity for o in outcomes if "degenerate" not in o.flags]
     total = sum(weights)
     if total == 0.0:
-        raise ValueError("all outcomes degenerate; no average fidelity")
+        retained = sum(o.probability for o in outcomes)
+        raise ValueError(
+            f"all outcomes degenerate: they retain probability {retained:.3g} in all, "
+            "so the cutoff truncates almost all of Bob's state; no average fidelity"
+        )
     return sum(w * f for w, f in zip(weights, values)) / total

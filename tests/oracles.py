@@ -4,23 +4,33 @@ The package runs the protocol on Bob's sectors and builds no dense state of
 his modes.  This module keeps the dense Fock-space route as an independent
 check on it:
 
-- the Fock toolkit: ``DensityOperator``, ``vacuum``, the ladder operators
-  ``create`` and ``annihilate``, ``tensor``, ``inner``, ``partial_trace``
-  and ``reduced_density``;
+- the Fock toolkit: pure states on named modes with per-mode cutoffs
+  (``ModeLayout``, ``FockVector``, ``basis_state``), projective measurement
+  of a mode subset (``project``), ``DensityOperator``, ``vacuum``, the
+  ladder operators ``create`` and ``annihilate``, ``tensor``, ``inner``,
+  ``partial_trace`` and ``reduced_density``;
+- Alice's side in Fock space: the input qubit on ``INPUT_MODES``
+  (``input_state``) and the four Bell states on ``INPUT_MODES +
+  ALICE_ANCILLA`` (``bell_basis``), built from ``basis_state`` and not from
+  the package's logical ``BELL_TABLE``;
 - the channel embeddings on a named (region I, region II) mode pair:
   ``RegionPair``, ``embed_zero``, ``embed_one``, ``embed_dual_rail`` and
   the thermal reduced state ``thermal_reduced``, each with its truncation
   budget (``TruncationBudgetExceeded``);
 - the six-mode shared resource, ``resource_layout`` and ``bell_resource``;
-- ``dense_protocol``, the protocol run on that resource.
+- ``dense_protocol``, the protocol run on that resource, and
+  ``correction_matrix``, Bob's correction as a matrix on his region-I pair.
 
 ``dense_protocol`` works per Bell outcome: it projects the resource onto
 the ancilla vector that the Bell state leaves after contraction with the
 input qubit, corrects Bob's four-mode tensor by swapping the B1I and B2I
 axes and signing B2I by (-1)^n, and reads
 F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2.
-Its correction is written here on the tensor axes, independently of the
-relabelling in ``teleport._correct``.  Memory is O(n_max^4).
+Its correction is written here on the tensor axes, and ``correction_matrix``
+on the basis indices, both independently of the relabelling in
+``teleport._correct``.  Memory is O(n_max^4).
+
+Basis ordering is row-major with the LAST listed mode varying fastest.
 """
 
 from __future__ import annotations
@@ -37,25 +47,204 @@ from horizon_teleport.channel import (
     one_tail,
     zero_tail,
 )
-from horizon_teleport.fock import (
-    TOLERANCE,
-    FockVector,
-    ModeLayout,
-    _frozen_array,
-    _require_same_layout,
-    _split_axes,
-    project,
-)
 from horizon_teleport.teleport import (
-    ALICE_ANCILLA,
     DEGENERATE_PROBABILITY,
     OUTCOME_LABELS,
     DualRailQubit,
-    bell_basis,
 )
 
 
 # ---------------------------------------------------------------- Fock toolkit
+
+# numerical slack of every check on a norm, a trace, Hermiticity or positivity
+TOLERANCE = 1e-10
+
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """Ordered, named, truncated bosonic modes.
+
+    Parameters
+    ----------
+    modes:
+        Unique mode labels. Their order fixes the basis enumeration.
+    cutoffs:
+        Inclusive maximum occupation per mode (cutoff n allows occupations
+        0..n, so the mode contributes a factor n+1 to the dimension).
+
+    The empty layout (no modes, dimension 1) is allowed as the scalar edge
+    case left behind when every mode has been measured or traced out.
+    """
+
+    modes: tuple[str, ...]
+    cutoffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
+        if len(self.modes) != len(self.cutoffs):
+            raise ValueError("one cutoff per mode required")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"duplicate mode labels in {self.modes}")
+        if any(c < 1 for c in self.cutoffs):
+            raise ValueError("cutoffs must be >= 1")
+
+    @classmethod
+    def uniform(cls, modes: tuple[str, ...] | list[str], cutoff: int) -> "ModeLayout":
+        """Layout with the same cutoff on every mode."""
+        modes = tuple(modes)
+        return cls(modes, (int(cutoff),) * len(modes))
+
+    @property
+    def mode_count(self) -> int:
+        return len(self.modes)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Per-mode basis sizes (cutoff + 1 each)."""
+        return tuple(c + 1 for c in self.cutoffs)
+
+    @property
+    def dim(self) -> int:
+        """Total basis dimension, the product of the per-mode sizes."""
+        out = 1
+        for d in self.dims:
+            out *= d
+        return out
+
+    def index(self, mode: str) -> int:
+        """Position of a mode label in the layout."""
+        try:
+            return self.modes.index(mode)
+        except ValueError:
+            raise KeyError(f"mode {mode!r} not in layout {self.modes}") from None
+
+    def flat_index(self, occupations: tuple[int, ...] | list[int]) -> int:
+        """Flat basis index of a multi-index (last mode fastest)."""
+        occ = tuple(int(n) for n in occupations)
+        if len(occ) != self.mode_count:
+            raise ValueError("one occupation per mode required")
+        for n, c, m in zip(occ, self.cutoffs, self.modes):
+            if not 0 <= n <= c:
+                raise ValueError(f"occupation {n} outside [0, {c}] for mode {m!r}")
+        flat = 0
+        for n, d in zip(occ, self.dims):
+            flat = flat * d + n
+        return flat
+
+    def subset(self, modes: tuple[str, ...] | list[str]) -> "ModeLayout":
+        """Sub-layout over the given modes, in the given order."""
+        modes = tuple(modes)
+        return ModeLayout(modes, tuple(self.cutoffs[self.index(m)] for m in modes))
+
+
+def _frozen_array(values, shape_len: int) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    if arr.ndim != shape_len:
+        raise ValueError(f"expected a {shape_len}-d array, got shape {arr.shape}")
+    # freeze in place; constructors own the arrays handed to them
+    try:
+        arr.setflags(write=False)
+    except ValueError:
+        pass
+    return arr
+
+
+@dataclass(frozen=True)
+class FockVector:
+    """Pure state: one complex amplitude per multi-index of ``layout``.
+
+    ``flags`` carries non-fatal conditions attached by operations (for
+    example ``"zero-probability"`` on the conditional state of an outcome
+    that cannot occur).
+    """
+
+    layout: ModeLayout
+    amplitudes: np.ndarray
+    flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        arr = _frozen_array(self.amplitudes, 1)
+        if arr.size != self.layout.dim:
+            raise ValueError(
+                f"amplitude count {arr.size} != layout dimension {self.layout.dim}"
+            )
+        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "flags", tuple(self.flags))
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= TOLERANCE
+
+    def as_tensor(self) -> np.ndarray:
+        """Amplitudes reshaped to one axis per mode (read-only view)."""
+        return self.amplitudes.reshape(self.layout.dims)
+
+    def __add__(self, other: "FockVector") -> "FockVector":
+        _require_same_layout(self.layout, other.layout)
+        return FockVector(self.layout, self.amplitudes + other.amplitudes)
+
+    def __sub__(self, other: "FockVector") -> "FockVector":
+        _require_same_layout(self.layout, other.layout)
+        return FockVector(self.layout, self.amplitudes - other.amplitudes)
+
+    def __mul__(self, scalar: complex) -> "FockVector":
+        return FockVector(self.layout, self.amplitudes * complex(scalar))
+
+    __rmul__ = __mul__
+
+
+def _require_same_layout(a: ModeLayout, b: ModeLayout) -> None:
+    if a != b:
+        raise ValueError(f"layout mismatch: {a} vs {b}")
+
+
+def basis_state(layout: ModeLayout, occupations: tuple[int, ...] | list[int]) -> FockVector:
+    """Number state |n_1, ..., n_k> with the given occupations."""
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[layout.flat_index(occupations)] = 1.0
+    return FockVector(layout, amps)
+
+
+def _split_axes(layout: ModeLayout, chosen: tuple[str, ...]) -> tuple[list[int], list[int]]:
+    """Axis positions of the chosen modes (in chosen order) and the rest."""
+    chosen_pos = [layout.index(m) for m in chosen]
+    rest_pos = [i for i in range(layout.mode_count) if i not in set(chosen_pos)]
+    return chosen_pos, rest_pos
+
+
+def project(state: FockVector, vector: FockVector) -> tuple[float, FockVector]:
+    """Measure a mode subset of ``state`` against a unit vector on those modes.
+
+    Returns the Born probability |<vector|psi>|^2 and the conditional state
+    on the remaining modes, renormalized, with the measured modes collapsed
+    out.  A zero-probability outcome returns a zero vector flagged
+    "zero-probability" rather than dividing by zero.
+    """
+    measured = vector.layout
+    for m in measured.modes:
+        if state.layout.cutoffs[state.layout.index(m)] != measured.cutoffs[measured.index(m)]:
+            raise ValueError(f"cutoff mismatch on measured mode {m!r}")
+    norm_dev = abs(float(np.vdot(vector.amplitudes, vector.amplitudes).real) - 1.0)
+    if norm_dev > TOLERANCE:
+        raise ValueError(f"measurement vector not normalized: deviation {norm_dev:.3e}")
+
+    measured_pos, rest_pos = _split_axes(state.layout, measured.modes)
+    rest_layout = state.layout.subset(
+        tuple(state.layout.modes[i] for i in rest_pos)
+    )
+    tens = state.as_tensor().transpose(measured_pos + rest_pos)
+    coeff = vector.amplitudes.conj() @ tens.reshape(measured.dim, rest_layout.dim)
+
+    probability = float(np.vdot(coeff, coeff).real)
+    if probability == 0.0:
+        zero = np.zeros(rest_layout.dim, dtype=np.complex128)
+        return 0.0, FockVector(rest_layout, zero, flags=("zero-probability",))
+    conditional = coeff / math.sqrt(probability)
+    return probability, FockVector(rest_layout, np.ascontiguousarray(conditional))
+
 
 
 @dataclass(frozen=True)
@@ -85,7 +274,7 @@ class DensityOperator:
 
     def validate(self) -> None:
         """Raise ValueError unless Hermitian, on-trace, and PSD, each
-        within ``fock.TOLERANCE``."""
+        within ``TOLERANCE``."""
         herm_dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if herm_dev > TOLERANCE:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
@@ -231,6 +420,41 @@ def reduced_density(state: FockVector, keep: tuple[str, ...] | list[str]) -> Den
     return DensityOperator(
         sub, rho, trace_expected=float(np.vdot(state.amplitudes, state.amplitudes).real)
     )
+
+
+# ---------------------------------------------------------------- Bell measurement
+
+INPUT_MODES = ("X1", "X2")
+ALICE_ANCILLA = ("A1", "A2")
+
+
+def input_state(qubit) -> FockVector:
+    """The qubit alpha |1,0> + beta |0,1> as a Fock vector on
+    ``INPUT_MODES`` at cutoff 1."""
+    layout = ModeLayout.uniform(INPUT_MODES, 1)
+    return qubit.alpha * basis_state(layout, (1, 0)) + qubit.beta * basis_state(layout, (0, 1))
+
+
+def bell_basis() -> dict[str, FockVector]:
+    """The four dual-rail Bell states on Alice's four modes, the input
+    qubit's ``INPUT_MODES`` and her half of the pair, ``ALICE_ANCILLA``.
+
+    Outcome labels are assigned so that projecting the full protocol state
+    yields Bob's conditional logical amplitudes (alpha, beta), (beta,
+    alpha), (alpha, -beta), (-beta, alpha) for 00, 01, 10, 11.
+    """
+    layout = ModeLayout.uniform(INPUT_MODES + ALICE_ANCILLA, 1)
+    zz = basis_state(layout, (1, 0, 1, 0))  # |0L 0L>
+    oo = basis_state(layout, (0, 1, 0, 1))  # |1L 1L>
+    zo = basis_state(layout, (1, 0, 0, 1))  # |0L 1L>
+    oz = basis_state(layout, (0, 1, 1, 0))  # |1L 0L>
+    s = 1.0 / math.sqrt(2.0)
+    return {
+        "00": s * (zz + oo),
+        "01": s * (zo + oz),
+        "10": s * (zz - oo),
+        "11": s * (zo - oz),
+    }
 
 
 # ---------------------------------------------------------------- channel embeddings
@@ -435,6 +659,27 @@ def _dense_correct(label, psi):
     return psi
 
 
+def correction_matrix(label: str, cutoff: int = 1) -> np.ndarray:
+    """Bob's correction unitary for a Bell outcome on his region-I pair.
+
+    00: identity.  01: swap of the two rails (dual-rail bit flip).  10: a
+    pi phase per photon on the second rail (dual-rail phase flip).  11:
+    swap, then the phase.  Each maps the outcome's conditional logical
+    amplitudes back to (alpha, beta).  The matrix acts on the pair's joint
+    basis at the given cutoff, second mode fastest.
+    """
+    if label not in OUTCOME_LABELS:
+        raise ValueError(f"unknown outcome label {label!r}")
+    layout = ModeLayout.uniform(("R1", "R2"), cutoff)
+    matrix = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
+    for n1 in range(cutoff + 1):
+        for n2 in range(cutoff + 1):
+            out = (n2, n1) if label in ("01", "11") else (n1, n2)
+            phase = (-1) ** out[1] if label in ("10", "11") else 1
+            matrix[layout.flat_index(out), layout.flat_index((n1, n2))] = phase
+    return matrix
+
+
 def dense_protocol(config):
     """(outcomes, premeasure weight) on the dense resource.
 
@@ -446,11 +691,11 @@ def dense_protocol(config):
     budget = config.epsilon_trunc if config.n_max_bob is None else None
     resource = bell_resource(config.params, resource_layout(n_max), n_max, epsilon_trunc=budget)
     basis = bell_basis()
-    input_state = qubit.state()
+    qubit_state = input_state(qubit)
 
     outcomes = []
     for label in OUTCOME_LABELS:
-        weight, ancilla = project(basis[label], input_state)
+        weight, ancilla = project(basis[label], qubit_state)
         conditional_probability, bob = project(resource, ancilla)
         probability = weight * conditional_probability
         if probability < DEGENERATE_PROBABILITY:

@@ -287,6 +287,15 @@ def test_cutoff_beyond_physical_memory_exits_1(capsys):
     assert "physical memory" in err
 
 
+def test_converge_names_the_cutoff_when_every_outcome_is_degenerate(capsys):
+    # M Omega = 1e-7: tanh r = 1 - 6e-7, so cutoffs 5 and 10 keep almost none
+    # of Bob's state and every outcome falls below DEGENERATE_PROBABILITY
+    assert run_cli(["converge", "--mass", "1e-3", "--omega", "1e-4", "--cutoffs", "5,10"]) == 1
+    err = capsys.readouterr().err
+    assert "cutoff" in err
+    assert "retain probability" in err
+
+
 def test_converge_validation_exit_codes(capsys):
     assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", ""]) == 1
     assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "10,5"]) == 1

@@ -1,5 +1,5 @@
-"""Truncated Fock substrate: basis ordering and measurement in the package,
-ladder algebra, products and traces in the dense oracle."""
+"""The dense oracle's truncated Fock toolkit: basis ordering, measurement,
+ladder algebra, products and traces."""
 
 import math
 
@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizon_teleport.fock import FockVector, ModeLayout, basis_state, project
 from oracles import (
     DensityOperator,
+    FockVector,
+    ModeLayout,
     annihilate,
+    basis_state,
     create,
     inner,
     partial_trace,
+    project,
     reduced_density,
     tensor,
     vacuum,

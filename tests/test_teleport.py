@@ -17,25 +17,30 @@ from horizon_teleport.channel import (
     squeeze_param,
     zero_tail,
 )
-from horizon_teleport.fock import ModeLayout, basis_state, project
 from horizon_teleport.teleport import (
-    ALICE_ANCILLA,
+    BELL_TABLE,
     DEGENERATE_PROBABILITY,
     OUTCOME_LABELS,
     DualRailQubit,
     ProtocolConfig,
     average_fidelity,
-    bell_basis,
-    correction,
     fidelity_analytic,
     premeasure_weight,
     run_protocol,
 )
 from oracles import (
+    ALICE_ANCILLA,
+    FockVector,
+    ModeLayout,
     TruncationBudgetExceeded,
+    basis_state,
+    bell_basis,
     bell_resource,
+    correction_matrix,
     dense_protocol,
     inner,
+    input_state,
+    project,
     reduced_density,
     resource_layout,
     tensor,
@@ -58,6 +63,11 @@ def make_qubit(alpha, beta):
     return DualRailQubit(alpha / norm, beta / norm)
 
 
+def _seeded_qubit(seed):
+    raw = np.random.default_rng(seed).normal(size=4)
+    return make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+
+
 # ---------------------------------------------------------------- inputs
 
 
@@ -65,7 +75,7 @@ def test_dual_rail_qubit_validation_and_state():
     with pytest.raises(ValueError):
         DualRailQubit(1.0, 1.0)
     qubit = DualRailQubit(0.6, 0.8j)
-    state = qubit.state()
+    state = input_state(qubit)
     assert state.layout.modes == ("X1", "X2")
     assert state.amplitudes[state.layout.flat_index((1, 0))] == 0.6
     assert state.amplitudes[state.layout.flat_index((0, 1))] == 0.8j
@@ -130,6 +140,27 @@ def test_bell_basis_orthonormal_in_the_two_photon_sector():
                 assert sum(occ) == 2  # dual-rail states carry one photon per qubit
 
 
+def test_bell_table_matches_the_fock_space_bell_states():
+    # the package's logical 2x2 measurement against the oracle's four-mode
+    # Fock-space one: same Born weight, same ancilla amplitudes
+    qubits = [DualRailQubit(1.0, 0.0), DualRailQubit(0.0, 1.0), DualRailQubit(0.6, 0.8j)]
+    qubits += [_seeded_qubit(seed) for seed in range(5)]
+    basis = bell_basis()
+    for qubit in qubits:
+        for label, bell in zip(OUTCOME_LABELS, BELL_TABLE, strict=True):
+            weight, ancilla = fock.project(bell, np.array([qubit.alpha, qubit.beta]))
+            fock_weight, fock_ancilla = project(basis[label], input_state(qubit))
+            assert weight == pytest.approx(0.5, abs=1e-15), label
+            assert weight == pytest.approx(fock_weight, abs=1e-15), label
+            v = fock_ancilla.as_tensor()  # ancilla modes (A1, A2): |0L> = |1,0>
+            np.testing.assert_allclose(
+                ancilla, [v[1, 0], v[0, 1]], rtol=0, atol=1e-15, err_msg=label
+            )
+
+    with pytest.raises(ValueError, match="not normalized"):
+        fock.project(BELL_TABLE[0], np.array([1.0, 1.0]))
+
+
 def test_bell_resource_flat_limit_is_the_bell_state():
     layout = resource_layout(1)
     state = bell_resource(FLAT, layout, 1)
@@ -188,7 +219,7 @@ def test_correction_restores_the_conditional_amplitudes():
     for label, conditional in CONDITIONAL_TABLE.items():
         x, y = conditional(alpha, beta)
         state = x * basis_state(layout, (1, 0)) + y * basis_state(layout, (0, 1))
-        fixed = correction(label) @ state.amplitudes
+        fixed = correction_matrix(label) @ state.amplitudes
         expected = alpha * basis_state(layout, (1, 0)) + beta * basis_state(
             layout, (0, 1)
         )
@@ -201,19 +232,19 @@ def test_correction_matrices_are_unitary_permutations():
     for cutoff in (1, 3):
         dim = (cutoff + 1) ** 2
         for label in OUTCOME_LABELS:
-            u = correction(label, cutoff)
+            u = correction_matrix(label, cutoff)
             np.testing.assert_allclose(
                 u.conj().T @ u, np.eye(dim), atol=1e-14, err_msg=label
             )
             # signed permutation: one entry of modulus 1 per column
             np.testing.assert_allclose(np.abs(u).sum(axis=0), 1.0, atol=1e-14)
 
-    swap = correction("01", 2)
+    swap = correction_matrix("01", 2)
     layout = ModeLayout.uniform(("R1", "R2"), 2)
     assert swap[layout.flat_index((1, 2)), layout.flat_index((2, 1))] == 1.0
 
     with pytest.raises(ValueError):
-        correction("02")
+        correction_matrix("02")
 
 
 def test_fidelity_analytic_examples():
@@ -250,7 +281,7 @@ def test_conditional_amplitudes_match_the_outcome_table():
     alpha, beta = 0.6, 0.8
     qubit = DualRailQubit(alpha, beta)
     resource = bell_resource(FLAT, resource_layout(1), 1)
-    full = tensor(qubit.state(), resource)
+    full = tensor(input_state(qubit), resource)
     basis = bell_basis()
 
     for label, conditional in CONDITIONAL_TABLE.items():
@@ -298,17 +329,17 @@ def _eight_mode_protocol(config):
     reduce to region I and read <phi| rho_I |phi>."""
     qubit, n_max = config.input, config.bob_cutoff()
     d = n_max + 1
-    full = tensor(qubit.state(), bell_resource(config.params, resource_layout(n_max), n_max))
+    full = tensor(input_state(qubit), bell_resource(config.params, resource_layout(n_max), n_max))
     basis = bell_basis()
     pair = ModeLayout.uniform(("B1I", "B2I"), n_max)
     phi = qubit.alpha * basis_state(pair, (1, 0)) + qubit.beta * basis_state(pair, (0, 1))
     outcomes = []
     for label in OUTCOME_LABELS:
         probability, conditional = project(full, basis[label])
-        u = correction(label, n_max).reshape(d, d, d, d)
+        u = correction_matrix(label, n_max).reshape(d, d, d, d)
         # (out1, out2) x (B1II, B2II), back to (B1I, B1II, B2I, B2II)
         corrected = np.tensordot(u, conditional.as_tensor(), axes=([2, 3], [0, 2]))
-        corrected = fock.FockVector(conditional.layout, corrected.transpose(0, 2, 1, 3).reshape(-1))
+        corrected = FockVector(conditional.layout, corrected.transpose(0, 2, 1, 3).reshape(-1))
         rho = reduced_density(corrected, ("B1I", "B2I"))
         fidelity = float(np.vdot(phi.amplitudes, rho.matrix @ phi.amplitudes).real)
         flags = ("degenerate",) if probability < DEGENERATE_PROBABILITY else ()
@@ -335,11 +366,6 @@ def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
             assert outcome.flags == flags
             assert outcome.probability == pytest.approx(probability, abs=1e-12)
             assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12)
-
-
-def _seeded_qubit(seed):
-    raw = np.random.default_rng(seed).normal(size=4)
-    return make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
 
 
 @pytest.mark.parametrize(
