@@ -9,16 +9,15 @@ four modes in the dual-rail Bell basis, Bob applies the outcome's
 correction unitary to his accessible region-I rails, and region II is
 traced out.
 
-The protocol runs on sectors, not on a dense resource.  Two-mode squeezing
-fixes n_I - n_II on each rail (|m, m> for the vacuum, |m+1, m> for one
-photon), so each logical branch of Bob's state is one amplitude array over
-his region-II occupations (m1, m2), and the branch fixes the region-I
-occupations.  Bob's state then has O(n_max^2) amplitudes where the dense
-four-mode tensor has O(n_max^4).  Alice's input and her Bell states carry
-one photon per dual-rail pair, so her Bell measurement is 2x2 linear
-algebra in the logical basis: ``fock.project`` of a row of ``BELL_TABLE``
-onto (alpha, beta) leaves a 2-vector on her ancilla that weights the two
-branches.  The correction is a relabelling of the region-I occupations.
+The protocol runs on Schmidt vectors, not on a dense resource.  Two-mode
+squeezing fixes n_I - n_II on each rail (|m, m> for the vacuum, |m+1, m>
+for one photon), and each logical branch of Bob's state is a product over
+his rails, so it is held as two 1-D vectors over the region-II occupation
+m, each with its rail's region-I offset: a run costs O(n_max).  Alice's
+input and Bell states carry one photon per dual-rail pair, so her Bell
+measurement is 2x2 linear algebra: ``fock.project`` of a row of
+``BELL_TABLE`` onto (alpha, beta) leaves a 2-vector on her ancilla that
+weights the two branches.  The correction relabels the rails.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
@@ -73,9 +72,9 @@ BELL_TABLE.setflags(write=False)
 # outcomes with less weight than this are flagged instead of renormalized
 DEGENERATE_PROBABILITY = 1e-14
 
-# tracemalloc peak of run_protocol per amplitude of one of Bob's branch
-# arrays, (n_max + 1)^2 of them: measured 57 bytes at n_max 100 to 2000
-_PEAK_BYTES_PER_AMPLITUDE = 64
+# tracemalloc peak of run_protocol per cutoff level, n_max + 1 of them:
+# measured 40 bytes at n_max 10^3 to 4 10^6
+_PEAK_BYTES_PER_LEVEL = 64
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,27 @@ class ProtocolConfig:
         return n_max
 
 
-def _correct(label: str, n1, n2):
-    """Bob's correction for a Bell outcome, as a relabelling of his region-I
-    occupations ``n1`` (rail 1) and ``n2`` (rail 2).
+def _correct(label: str, branch, target):
+    """Relabel and match: the entry of one of Bob's branches that his
+    correction for ``label`` lands on region-I occupations ``target``.
 
-    Returns the corrected occupations and the sign each amplitude takes:
     01 swaps the two rails (dual-rail bit flip), 10 puts a pi phase per
-    photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.
+    photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.  A
+    corrected rail hits at region-II index m = target - offset.  Returns
+    ((m1, m2), amplitude) by Bob's region-II rails, or None when an m lies
+    outside 0..n_max.
     """
     if label not in OUTCOME_LABELS:
         raise ValueError(f"unknown outcome label {label!r}")
-    if label in ("01", "11"):
-        n1, n2 = n2, n1
-    sign = np.where(n2 % 2 == 0, 1.0, -1.0) if label in ("10", "11") else 1.0
-    return n1, n2, sign
+    swap = label in ("01", "11")
+    (a1, offset1), (a2, offset2) = branch[::-1] if swap else branch
+    m1, m2 = target[0] - offset1, target[1] - offset2
+    if not (0 <= m1 < len(a1) and 0 <= m2 < len(a2)):
+        return None
+    amplitude = a1[m1] * a2[m2]
+    if label in ("10", "11") and target[1] % 2:
+        amplitude = -amplitude
+    return ((m2, m1) if swap else (m1, m2)), amplitude  # region II is not swapped
 
 
 def fidelity_analytic(params: SqueezeParams) -> float:
@@ -171,19 +177,18 @@ def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
 
 
 def _bob_branches(config: ProtocolConfig):
-    """Bob's half of the resource in sector form, one entry per logical
-    branch: |0L> (photon on rail 1), then |1L> (photon on rail 2).
+    """Bob's half of the resource, one entry per logical branch: |0L>
+    (photon on rail 1), then |1L> (photon on rail 2).
 
-    Each entry is (amplitudes, (n1, n2)): the real amplitudes over Bob's
-    region-II occupations (m1, m2), and the region-I occupations of rails
-    1 and 2 as integer arrays that broadcast against them (m + 1 on the
-    photon rail, m on the vacuum rail).  The two branches occupy disjoint
-    kets, so their squared norms add.  A cutoff whose run would need more
-    than the machine's physical memory raises ``ValueError`` before any
-    array is allocated.
+    A branch is the product of its two rails, each held as (amplitudes by
+    region-II occupation m, region-I offset): the photon rail has offset 1
+    (|m+1, m>), the vacuum rail offset 0 (|m, m>).  The two branches occupy
+    disjoint kets, so their squared norms add.  A cutoff whose run would
+    need more than the machine's physical memory raises ``ValueError``
+    before any array is allocated.
     """
     n_max = config.bob_cutoff()
-    needed = _PEAK_BYTES_PER_AMPLITUDE * (n_max + 1) ** 2
+    needed = _PEAK_BYTES_PER_LEVEL * (n_max + 1)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:
         raise ValueError(
@@ -191,34 +196,26 @@ def _bob_branches(config: ProtocolConfig):
             f"more than the {physical / 1e9:.3g} GB of physical memory"
         )
     zero, one = channel._schmidt_coefficients(config.params, n_max)
-    m = np.arange(n_max + 1)
-    m1, m2 = m[:, None], m[None, :]
-    return (
-        (np.multiply.outer(one, zero), (m1 + 1, m2)),
-        (np.multiply.outer(zero, one), (m1, m2 + 1)),
-    )
+    return ((one, 1), (zero, 0)), ((zero, 0), (one, 1))
 
 
 def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
-    """Teleportation on Bob's sectors: measure, correct, score.
+    """Teleportation on Bob's Schmidt vectors: measure, correct, score.
 
     For each Bell outcome, projects its row of ``BELL_TABLE`` onto the input
-    (alpha, beta), which leaves a logical vector v on Alice's ancilla.
-    Projecting the resource (|0L>_A E0 + |1L>_A E1) / sqrt(2) onto v
-    leaves Bob the state (conj(v0) E0 + conj(v1) E1) / sqrt(2), held as
-    its two branches (see ``_bob_branches``); the Born probability is the
-    projection weight times that state's squared norm.  Bob's correction
-    relabels the region-I occupations, and the fidelity against the ideal
-    dual-rail state, with region II traced out, is
-    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2,
-    read from the entries whose corrected region-I occupations are (1, 0)
-    and (0, 1).  Time and memory are O(n_max^2); a cutoff whose arrays
-    would not fit in physical memory raises ``ValueError`` before they are
-    allocated.  Returns the four outcomes in label order 00, 01, 10, 11.
+    (alpha, beta), which leaves a logical vector v on Alice's ancilla and
+    Bob the state (conj(v0) E0 + conj(v1) E1) / sqrt(2) of his branches
+    (see ``_bob_branches``); the Born probability is the projection weight
+    times its squared norm.  The fidelity with region II traced out is
+    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2
+    of the corrected state psi: ``_correct`` finds each branch's entries on
+    region-I occupations (1, 0) and (0, 1), added coherently by (m1, m2).
+    Time and memory are O(n_max); a cutoff that would not fit in physical
+    memory raises ``ValueError`` first.  Returns the outcomes in label order.
     """
     qubit = config.input
     branches = _bob_branches(config)
-    branch_norms = [float(np.vdot(amps, amps)) for amps, _ in branches]
+    branch_norms = [float(a1 @ a1) * float(a2 @ a2) for (a1, _), (a2, _) in branches]
     targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
     logical = np.array([qubit.alpha, qubit.beta])
 
@@ -231,14 +228,14 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
         if probability < DEGENERATE_PROBABILITY:
             outcomes.append(_degenerate_outcome(label, probability))
             continue
-        overlap = np.zeros(branches[0][0].shape, dtype=np.complex128)
-        for scale, (amplitudes, occupations) in zip(scales, branches):
-            n1, n2, sign = _correct(label, *occupations)
-            psi = sign * amplitudes
-            for (t1, t2), conj_amp in targets:
-                hit = (n1 == t1) & (n2 == t2)
-                overlap[hit] += conj_amp * scale * psi[hit]
-        fidelity = float(np.vdot(overlap, overlap).real) / norm_sq
+        overlap = {}
+        for scale, branch in zip(scales, branches):
+            for target, conj_amp in targets:
+                hit = _correct(label, branch, target)
+                if hit is not None:
+                    m, amplitude = hit
+                    overlap[m] = overlap.get(m, 0.0) + conj_amp * scale * amplitude
+        fidelity = sum(abs(c) ** 2 for c in overlap.values()) / norm_sq
         outcomes.append(TeleportOutcome(label, probability, fidelity))
     return outcomes
 
@@ -246,17 +243,18 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
 def premeasure_weight(config: ProtocolConfig) -> tuple[float, float]:
     """Single-excitation weight of Bob's region-I pair before measurement.
 
-    The weight of the resource entries whose region-I occupations
-    (n_1I, n_2I) are (1, 0) or (0, 1), i.e. of the ideal one-photon
-    manifold span{|1,0>, |0,1>} in the region-I reduced state.  Returns
-    (measured, claimed) where claimed is the closed form 1 / cosh^6 r; the
-    two are reported side by side for diagnostics and deliberately not
-    asserted equal by this operation.
+    The weight of the resource entries whose region-I occupations are
+    (1, 0) or (0, 1), found by ``_correct`` with the identity correction 00.
+    Returns (measured, claimed) where claimed is the closed form
+    1 / cosh^6 r; the two are reported side by side for diagnostics and
+    deliberately not asserted equal by this operation.
     """
     measured = 0.0
-    for amplitudes, (n1, n2) in _bob_branches(config):
-        single = ((n1 == 1) & (n2 == 0)) | ((n1 == 0) & (n2 == 1))
-        measured += 0.5 * float(np.sum(amplitudes[single] ** 2))  # ancilla weight 1/2
+    for branch in _bob_branches(config):
+        for target in ((1, 0), (0, 1)):
+            hit = _correct("00", branch, target)
+            if hit is not None:
+                measured += 0.5 * float(hit[1]) ** 2  # ancilla weight 1/2
     claimed = fidelity_analytic(config.params)
     return measured, claimed
 

@@ -14,10 +14,16 @@ import pytest
 
 from horizon_teleport import cli
 from horizon_teleport.analysis import DEFAULT_GRID, sweep
-from horizon_teleport.channel import SqueezeParams, required_cutoff, squeeze_param
+from horizon_teleport.channel import (
+    SqueezeParams,
+    dual_rail_tail,
+    required_cutoff,
+    squeeze_param,
+)
 from horizon_teleport.teleport import (
     DualRailQubit,
     ProtocolConfig,
+    fidelity_analytic,
     premeasure_weight,
     run_protocol,
 )
@@ -62,25 +68,49 @@ def test_simulated_fidelity_matches_the_analytic_law():
     )
 
 
+def _first_cutoff_within(params, budget):
+    # bisection for the first n with dual_rail_tail(n) <= budget; the tail
+    # falls monotonically in n
+    lo, hi = 0, 1
+    while dual_rail_tail(params, hi) > budget:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if dual_rail_tail(params, mid) > budget else (lo, mid)
+    return hi
+
+
 def test_strong_squeezing_matches_the_analytic_law():
-    # beyond the reach of a dense Fock simulation: derived cutoffs 125 and
-    # 1312, where the dense six-mode resource would hold 4 * 126^4 and
-    # 4 * 1313^4 amplitudes
+    # beyond the reach of a dense Fock simulation: cutoffs 125, 1312,
+    # 131850 and 1318555 (tanh r 0.9 to 0.99999), where the dense six-mode
+    # resource would hold 4 (n_max + 1)^4 amplitudes.  required_cutoff caps
+    # derived cutoffs at 100000, so the runs take them explicitly.  F falls
+    # to about 8e-15, where the absolute gate says nothing, so the outcome
+    # probabilities and F (1 - loss) are held to the closed forms as well.
     rng = np.random.default_rng(20261018)
     worst = 0.0
-    for t in (0.9, 0.99):
+    for t in (0.9, 0.99, 0.9999, 0.99999):
         params = SqueezeParams.from_tanh(t)
         expected = closed_form(t)
+        n_max = _first_cutoff_within(params, 1e-10)
+        kept = 1.0 - dual_rail_tail(params, n_max)
+        if n_max <= 100000:
+            derived = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0))
+            assert derived.bob_cutoff() == n_max
         for _ in range(3):
             raw = rng.normal(size=4)
             raw /= math.sqrt(float(np.sum(raw**2)))
             qubit = DualRailQubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-            config = ProtocolConfig(params=params, input=qubit, epsilon_trunc=1e-10)
+            config = ProtocolConfig(params=params, input=qubit, n_max_bob=n_max)
             for outcome in run_protocol(config):
                 deviation = abs(outcome.fidelity - expected)
                 worst = max(worst, deviation)
                 assert deviation <= 1e-6, (t, outcome.label)
-    print(f"strong squeezing: tanh r in (0.9, 0.99), max |F_sim - F_analytic| = {worst:.3e}")
+                assert outcome.probability == pytest.approx(kept / 4, abs=1e-13), t
+                assert outcome.fidelity * kept == pytest.approx(
+                    fidelity_analytic(params), rel=1e-12, abs=0.0
+                ), (t, outcome.label)
+    print(f"strong squeezing: tanh r 0.9 to 0.99999, max |F_sim - F_analytic| = {worst:.3e}")
 
 
 def test_spot_fidelity_values():

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from horizon_teleport import cli
+from horizon_teleport.channel import squeeze_param
 from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
+from horizon_teleport.teleport import fidelity_analytic
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -280,11 +282,26 @@ def test_converge_accepts_mass_and_omega(capsys):
 
 
 def test_cutoff_beyond_physical_memory_exits_1(capsys):
-    # cutoff 10^7 would need 6.4 PB; refused before anything is allocated
-    assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "10000000"]) == 1
+    # cutoff 10^12 would need 64 TB; refused before anything is allocated
+    assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "1000000000000"]) == 1
     err = capsys.readouterr().err
-    assert "cutoff 10000000" in err
+    assert "cutoff 1000000000000" in err
     assert "physical memory" in err
+
+
+def test_converge_runs_near_the_divergence(capsys):
+    # M Omega = 1e-7, tanh r = 1 - 6e-7: cutoffs in the millions keep most
+    # of Bob's state, and F (1 - loss) is the closed form, so the error
+    # against it is F_closed loss / (1 - loss)
+    argv = ["converge", "--mass", "1e-3", "--omega", "1e-4", "--cutoffs", "2000000,4000000"]
+    assert run_cli(argv) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header == list(CONVERGE_COLUMNS)
+    assert [int(row[0]) for row in rows] == [2000000, 4000000]
+    closed = fidelity_analytic(squeeze_param(1e-3, 1e-4))
+    for _, abs_error, loss in rows:
+        expected = float(loss) / (1.0 - float(loss))
+        assert float(abs_error) / closed == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_converge_names_the_cutoff_when_every_outcome_is_degenerate(capsys):

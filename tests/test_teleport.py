@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizon_teleport import fock, teleport
@@ -390,9 +390,11 @@ def test_sector_route_matches_the_dense_oracle(tanh_r, cutoffs):
         assert measured == pytest.approx(dense_weight, abs=1e-12), n_max
 
 
-@pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 200)])
+@pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 1)])
 def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
-    # n_max 37 and 1312: the dense six-mode resource would be 133 MB and 190 TB
+    # n_max 37 and 1312: the dense six-mode resource would be 133 MB and
+    # 190 TB, and an (n_max + 1)^2 grid per branch would peak at 0.1 MB and
+    # 98 MB, so the limits hold a run to O(n_max)
     config = ProtocolConfig(params=SqueezeParams.from_tanh(tanh_r), input=_seeded_qubit(3))
     tracemalloc.start()
     try:
@@ -404,9 +406,9 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
 
 
 def test_memory_preflight_bounds_the_measured_peak():
-    n_max = 300
+    n_max = 10**6
     config = ProtocolConfig(
-        params=SqueezeParams.from_tanh(0.99), input=_seeded_qubit(5), n_max_bob=n_max
+        params=SqueezeParams.from_tanh(0.99999), input=_seeded_qubit(5), n_max_bob=n_max
     )
     tracemalloc.start()
     try:
@@ -414,14 +416,14 @@ def test_memory_preflight_bounds_the_measured_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= teleport._PEAK_BYTES_PER_AMPLITUDE * (n_max + 1) ** 2, peak
+    assert peak <= teleport._PEAK_BYTES_PER_LEVEL * (n_max + 1), peak
 
 
 def test_cutoff_beyond_physical_memory_is_refused_before_allocation():
-    # 64 (10^7 + 1)^2 bytes is 6.4 PB: without the preflight the first
-    # branch array (800 TB) fails in malloc
+    # 64 (10^12 + 1) bytes is 64 TB: without the preflight the first
+    # Schmidt vector (8 TB) fails in malloc
     config = ProtocolConfig(
-        params=SqueezeParams.from_tanh(0.5), input=DualRailQubit(1.0, 0.0), n_max_bob=10**7
+        params=SqueezeParams.from_tanh(0.5), input=DualRailQubit(1.0, 0.0), n_max_bob=10**12
     )
     for run in (run_protocol, premeasure_weight):
         with pytest.raises(ValueError, match="physical memory"):
@@ -469,11 +471,12 @@ def test_probabilities_complete_up_to_truncation_loss():
 
 @settings(deadline=None, max_examples=300)
 @given(
-    tanh_r=st.floats(0.0, 0.95),
-    n_max=st.integers(1, 40),
+    tanh_r=st.floats(0.0, 0.999),
+    n_max=st.integers(1, 2000),
     theta=st.floats(0.0, math.pi),
     phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
 )
+@example(tanh_r=0.999, n_max=1, theta=1.0, phases=(0.5, 2.0))
 def test_every_outcome_has_the_predicted_probability_and_fidelity(tanh_r, n_max, theta, phases):
     # each outcome carries a quarter of the kept weight, and its fidelity,
     # scaled by that weight, is the closed form, for any input qubit
@@ -483,12 +486,20 @@ def test_every_outcome_has_the_predicted_probability_and_fidelity(tanh_r, n_max,
         math.sin(theta / 2) * complex(math.cos(phases[1]), math.sin(phases[1])),
     )
     kept = 1.0 - dual_rail_tail(params, n_max)
+    # the same weight as the product of the two rails' partial Schmidt sums,
+    # (1 - x) sum_{m <= n_max} x^m and (1 - x)^2 sum_{m < n_max} (m + 1) x^m
+    # with x = tanh^2 r: 1 - dual_rail_tail cancels to about 1e-9 relative
+    # when little is kept (tanh r 0.999 at cutoff 1 keeps 1.6e-8)
+    x, m = params.tanh_r**2, np.arange(n_max)
+    kept_sums = params.sech2_r**3 * float(np.sum(x ** np.arange(n_max + 1))) * float(
+        np.sum((m + 1) * x**m)
+    )
     target = fidelity_analytic(params)
     outcomes = run_protocol(ProtocolConfig(params=params, input=qubit, n_max_bob=n_max))
     for o in outcomes:
         assert o.flags == ()
         assert o.probability == pytest.approx(kept / 4, abs=1e-13)
-        assert o.fidelity * kept == pytest.approx(target, rel=1e-13)
+        assert o.fidelity * kept_sums == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
 def test_reported_values_stay_in_bounds():
