@@ -107,7 +107,7 @@ def _evaluate_point(
     radius: float,
     omega: float,
     mode: str,
-    epsilon_trunc: float,
+    epsilon: float,
     max_cutoff: int,
 ) -> SweepRecord:
     mass = channel.radius_to_mass(radius)
@@ -128,7 +128,7 @@ def _evaluate_point(
         return SweepRecord(radius, omega, mass, params.r_squeeze, analytic)
 
     try:
-        n_max = channel.required_cutoff(params, epsilon_trunc, hard_cap=max_cutoff)
+        n_max = channel.required_cutoff(params, epsilon, hard_cap=max_cutoff)
     except channel.CutoffInfeasible:
         return SweepRecord(
             radius, omega, mass, params.r_squeeze, analytic, flags=("cutoff-capped",)
@@ -136,7 +136,6 @@ def _evaluate_point(
     config = teleport.ProtocolConfig(
         params=params,
         input=teleport.DualRailQubit(_SWEEP_ALPHA, _SWEEP_ALPHA),
-        epsilon_trunc=epsilon_trunc,
         n_max_bob=n_max,
     )
     outcomes = teleport.run_protocol(config)
@@ -157,15 +156,16 @@ def _evaluate_point(
 def sweep(
     grid: SweepGrid,
     mode: str = "analytic-only",
-    epsilon_trunc: float = 1e-10,
+    epsilon: float = 1e-10,
     max_cutoff: int = 40,
     workers: int | None = None,
 ) -> list[SweepRecord]:
     """Evaluate the fidelity over the grid, radius-major, deterministically.
 
     Points where the squeezing diverges are recorded with fidelity 0 and a
-    "divergent" flag; in with-simulation mode, points whose required cutoff
-    exceeds ``max_cutoff`` fall back to analytic-only records flagged
+    "divergent" flag.  In with-simulation mode a point runs at the cutoff
+    ``channel.required_cutoff`` picks for ``epsilon``; points whose cutoff
+    would exceed ``max_cutoff`` fall back to analytic-only records flagged
     "cutoff-capped" rather than aborting the sweep.
 
     ``workers`` is the number of threads (None or 0 means one: the points
@@ -177,8 +177,8 @@ def sweep(
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
-    if not 0.0 < epsilon_trunc <= 0.1:
-        raise ValueError(f"epsilon_trunc must lie in (0, 0.1], got {epsilon_trunc!r}")
+    if not 0.0 < epsilon <= 0.1:
+        raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon!r}")
     if max_cutoff < 1:
         raise ValueError(f"max_cutoff must be >= 1, got {max_cutoff}")
 
@@ -189,7 +189,7 @@ def sweep(
     ]
 
     def evaluate(point: tuple[float, float]) -> SweepRecord:
-        return _evaluate_point(point[0], point[1], mode, epsilon_trunc, max_cutoff)
+        return _evaluate_point(point[0], point[1], mode, epsilon, max_cutoff)
 
     if not workers or workers == 1:
         return [evaluate(p) for p in points]

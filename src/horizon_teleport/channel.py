@@ -11,13 +11,14 @@ in Planck units (the two formulas are consistent: 1 - tanh^2 = cosh^-2).
 
 This module maps (M, Omega) to squeezing parameters, gives the channel
 images of the single-mode vacuum and one-photon states in Schmidt form,
-and accounts exactly for the tail weight a Fock cutoff drops.  The images
-are supported on |m, m> and |m+1, m> (region I, region II); their
-amplitudes by region-II occupation m (``_schmidt_coefficients``) are all
-that the protocol in ``teleport`` reads.  The dense embeddings that spread
-them over the truncated pair space (``embed_zero``, ``embed_one``,
-``embed_dual_rail``, ``thermal_reduced``) are test references and live in
-``tests/oracles.py``.
+accounts exactly for the tail weight a Fock cutoff drops, and picks the
+cutoff (``required_cutoff``) whose dual-rail tail, the loss a protocol run
+reports, is within a budget.  The images are supported on |m, m> and
+|m+1, m> (region I, region II); their amplitudes by region-II occupation m
+(``_schmidt_coefficients``) are all that the protocol in ``teleport``
+reads.  The dense embeddings that spread them over the truncated pair
+space (``embed_zero``, ``embed_one``, ``embed_dual_rail``,
+``thermal_reduced``) are test references and live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -155,53 +156,65 @@ def _schmidt_coefficients(
     return zero, one
 
 
+def _tails(params: SqueezeParams):
+    """Vacuum, one-photon and dual-rail tail weights as one function of the
+    cutoff n: with x = tanh^2 r, x^(n+1), x^n (1 + n (1 - x)) and 1 - (1 -
+    zero)(1 - one).  x^n is read as exp(-4 pi M Omega n), good to a few ulps
+    where a power of the rounded x drifts by about n ulps, and the last is
+    summed as zero + one (1 - zero), which does not round to 0 below 1e-16."""
+    decay, sech2 = 4.0 * math.pi * params.mass * params.frequency, params.sech2_r
+
+    def tails(n: int) -> tuple[float, float, float]:
+        zero = math.exp(-decay * (n + 1))
+        one = math.exp(-decay * n) * (1.0 + n * sech2)
+        return zero, one, zero + one * (1.0 - zero)
+
+    return tails
+
+
 def zero_tail(params: SqueezeParams, n_max: int) -> float:
     """Exact tail weight of the vacuum embedding above cutoff n_max."""
-    return params.tanh_r ** (2 * (n_max + 1))
+    return _tails(params)(n_max)[0]
 
 
 def one_tail(params: SqueezeParams, n_max: int) -> float:
-    """Exact tail weight of the one-photon embedding above cutoff n_max.
-
-    Closed form of (1-x)^2 * sum_{n >= n_max} (n+1) x^n with x = tanh^2 r.
-    """
-    x = params.tanh_r**2
-    return x**n_max * (1.0 + n_max * (1.0 - x))
+    """Exact tail weight of the one-photon embedding above cutoff n_max:
+    (1-x)^2 * sum_{n >= n_max} (n+1) x^n with x = tanh^2 r."""
+    return _tails(params)(n_max)[1]
 
 
 def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
     """Tail weight lost by a dual-rail embedding, one rail carrying the
-    photon and the other the vacuum: 1 - (1 - zero_tail)(1 - one_tail)."""
-    return 1.0 - (1.0 - zero_tail(params, n_max)) * (1.0 - one_tail(params, n_max))
+    photon and the other the vacuum: the truncation loss, 1 - sum of
+    outcome probabilities, of a protocol run at cutoff n_max."""
+    return _tails(params)(n_max)[2]
 
 
 def required_cutoff(
     params: SqueezeParams, epsilon: float, hard_cap: int = 100000
 ) -> int:
-    """Smallest cutoff whose one-photon tail weight is within ``epsilon``.
+    """Smallest cutoff whose dual-rail tail weight is within ``epsilon``.
 
-    The one-photon embedding dominates the vacuum tail, so its budget
-    covers both.  Monotone nonincreasing in epsilon.  Raises
-    ``CutoffInfeasible`` when even ``hard_cap`` cannot meet the budget.
+    The dual-rail tail is what a protocol run at that cutoff loses, so the
+    truncation loss it reports, 1 - sum of outcome probabilities, stays
+    within ``epsilon`` up to rounding.  Monotone nonincreasing in epsilon.
+    Raises ``CutoffInfeasible`` when even ``hard_cap`` cannot meet the
+    budget.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if hard_cap < 1:
         raise ValueError(f"hard cap must be >= 1, got {hard_cap}")
 
-    def tail(n: int) -> float:
-        return one_tail(params, n)
-
-    if tail(1) <= epsilon:
-        return 1
-    if tail(hard_cap) > epsilon:
+    tails = _tails(params)  # reads params once, not at every step below
+    if tails(hard_cap)[2] > epsilon:
         raise CutoffInfeasible(params.r_squeeze, epsilon, hard_cap)
-    lo, hi = 1, 2
-    while tail(hi) > epsilon:  # bracket by doubling, then bisect
+    lo, hi = 0, 1  # cutoff 0 drops the whole photon rail: tail 1 > epsilon
+    while tails(hi)[2] > epsilon:  # bracket by doubling, then bisect
         lo, hi = hi, min(2 * hi, hard_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail(mid) > epsilon:
+        if tails(mid)[2] > epsilon:
             lo = mid
         else:
             hi = mid

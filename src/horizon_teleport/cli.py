@@ -159,9 +159,7 @@ def _cmd_simulate(args) -> int:
 
     params = channel.squeeze_param(mass, omega)
     n_max = channel.required_cutoff(params, args.epsilon, hard_cap=args.max_cutoff)
-    config = teleport.ProtocolConfig(
-        params=params, input=qubit, epsilon_trunc=args.epsilon, n_max_bob=n_max
-    )
+    config = teleport.ProtocolConfig(params=params, input=qubit, n_max_bob=n_max)
     outcomes = teleport.run_protocol(config)
 
     analytic = teleport.fidelity_analytic(params)
@@ -228,7 +226,7 @@ def _cmd_sweep(args) -> int:
     records = analysis.sweep(
         grid,
         mode=args.mode,
-        epsilon_trunc=args.epsilon,
+        epsilon=args.epsilon,
         max_cutoff=args.max_cutoff,
         workers=_sweep_workers(),
     )

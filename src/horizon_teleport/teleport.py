@@ -110,35 +110,19 @@ class TeleportOutcome:
 class ProtocolConfig:
     """One teleportation run.
 
-    ``n_max_bob`` fixes the cutoff of Bob's four squeezed modes; when None
-    it is derived as the smallest cutoff from required_cutoff(params,
-    epsilon_trunc) up whose dual-rail tail is within the budget, so it meets
-    the budget by construction.  An explicit cutoff overrides the budget
-    (the loss is then observable as 1 - sum of outcome probabilities).
+    ``n_max_bob`` is the Fock cutoff of Bob's four squeezed modes, at least
+    1.  The run loses the weight of the dual-rail tail above it, reported
+    as 1 - sum of outcome probabilities; ``channel.required_cutoff`` gives
+    the smallest cutoff whose loss is within a budget.
     """
 
     params: SqueezeParams
     input: DualRailQubit
-    epsilon_trunc: float = 1e-10
-    n_max_bob: int | None = None
+    n_max_bob: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon_trunc <= 0.1:
-            raise ValueError(
-                f"epsilon_trunc must lie in (0, 0.1], got {self.epsilon_trunc!r}"
-            )
-        if self.n_max_bob is not None and self.n_max_bob < 1:
+        if self.n_max_bob < 1:
             raise ValueError(f"n_max_bob must be >= 1, got {self.n_max_bob!r}")
-
-    def bob_cutoff(self) -> int:
-        if self.n_max_bob is not None:
-            return self.n_max_bob
-        # required_cutoff bounds the one-photon tail alone; the budget holds
-        # the dual-rail tail, which adds the vacuum tail of the other rail
-        n_max = channel.required_cutoff(self.params, self.epsilon_trunc)
-        while channel.dual_rail_tail(self.params, n_max) > self.epsilon_trunc:
-            n_max += 1
-        return n_max
 
 
 def _correct(label: str, branch, target):
@@ -187,7 +171,7 @@ def _bob_branches(config: ProtocolConfig):
     need more than the machine's physical memory raises ``ValueError``
     before any array is allocated.
     """
-    n_max = config.bob_cutoff()
+    n_max = config.n_max_bob
     needed = _PEAK_BYTES_PER_LEVEL * (n_max + 1)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:

@@ -687,9 +687,8 @@ def dense_protocol(config):
     premeasure weight is the region-I weight of span{|1,0>, |0,1>}, read
     as the squared norm of the resource entries with those occupations.
     """
-    qubit, n_max = config.input, config.bob_cutoff()
-    budget = config.epsilon_trunc if config.n_max_bob is None else None
-    resource = bell_resource(config.params, resource_layout(n_max), n_max, epsilon_trunc=budget)
+    qubit, n_max = config.input, config.n_max_bob
+    resource = bell_resource(config.params, resource_layout(n_max), n_max)
     basis = bell_basis()
     qubit_state = input_state(qubit)
 

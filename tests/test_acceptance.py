@@ -83,20 +83,19 @@ def _first_cutoff_within(params, budget):
 def test_strong_squeezing_matches_the_analytic_law():
     # beyond the reach of a dense Fock simulation: cutoffs 125, 1312,
     # 131850 and 1318555 (tanh r 0.9 to 0.99999), where the dense six-mode
-    # resource would hold 4 (n_max + 1)^4 amplitudes.  required_cutoff caps
-    # derived cutoffs at 100000, so the runs take them explicitly.  F falls
-    # to about 8e-15, where the absolute gate says nothing, so the outcome
-    # probabilities and F (1 - loss) are held to the closed forms as well.
+    # resource would hold 4 (n_max + 1)^4 amplitudes.  required_cutoff,
+    # with its cap raised above 100000, is held to a bisection written
+    # here.  F falls to about 8e-15, where the absolute gate says nothing,
+    # so the outcome probabilities and F (1 - loss) are held to the closed
+    # forms as well.
     rng = np.random.default_rng(20261018)
     worst = 0.0
     for t in (0.9, 0.99, 0.9999, 0.99999):
         params = SqueezeParams.from_tanh(t)
         expected = closed_form(t)
         n_max = _first_cutoff_within(params, 1e-10)
+        assert required_cutoff(params, 1e-10, hard_cap=10**7) == n_max, t
         kept = 1.0 - dual_rail_tail(params, n_max)
-        if n_max <= 100000:
-            derived = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0))
-            assert derived.bob_cutoff() == n_max
         for _ in range(3):
             raw = rng.normal(size=4)
             raw /= math.sqrt(float(np.sum(raw**2)))
@@ -119,7 +118,9 @@ def test_spot_fidelity_values():
     assert analytic == pytest.approx(27.0 / 64.0, abs=1e-9)
 
     outcomes = run_protocol(
-        ProtocolConfig(params=half, input=DualRailQubit(1.0, 0.0), epsilon_trunc=1e-10)
+        ProtocolConfig(
+            params=half, input=DualRailQubit(1.0, 0.0), n_max_bob=required_cutoff(half, 1e-10)
+        )
     )
     numeric = sum(o.probability * o.fidelity for o in outcomes) / sum(
         o.probability for o in outcomes
@@ -139,7 +140,11 @@ def test_flat_space_limit_recovers_exact_teleportation():
     params = squeeze_param(10.0, 10.0)  # huge M*Omega: r < 1e-100 but nonzero
     assert 0.0 < params.r_squeeze < 1e-100
     outcomes = run_protocol(
-        ProtocolConfig(params=params, input=DualRailQubit(0.6, 0.8j), epsilon_trunc=1e-10)
+        ProtocolConfig(
+            params=params,
+            input=DualRailQubit(0.6, 0.8j),
+            n_max_bob=required_cutoff(params, 1e-10),
+        )
     )
     for outcome in outcomes:
         assert outcome.probability == pytest.approx(0.25, abs=1e-10)
@@ -216,7 +221,7 @@ def test_single_excitation_weight_report():
         config = ProtocolConfig(
             params=params,
             input=DualRailQubit(1.0 / math.sqrt(2), 1.0 / math.sqrt(2)),
-            epsilon_trunc=1e-10,
+            n_max_bob=required_cutoff(params, 1e-10),
         )
         measured, claimed = premeasure_weight(config)
         assert 0.0 <= measured <= 1.0

@@ -170,7 +170,7 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(corner_grid(), mode="approximate")
     with pytest.raises(ValueError):
-        sweep(corner_grid(), epsilon_trunc=0.0)
+        sweep(corner_grid(), epsilon=0.0)
     with pytest.raises(ValueError):
         sweep(corner_grid(), max_cutoff=0)
 

@@ -12,6 +12,7 @@ from horizon_teleport.channel import (
     CutoffInfeasible,
     DivergentSqueezing,
     SqueezeParams,
+    dual_rail_tail,
     one_tail,
     radius_to_mass,
     required_cutoff,
@@ -36,6 +37,7 @@ PAIR = RegionPair("I", "II")
 ARTANH_EXP_NEG_PI = 0.04324084828357019  # artanh(e^-pi)
 ARTANH_HALF = 0.5493061443340548
 PRODUCT_FOR_TANH_HALF = 0.1103178000763258  # ln 2 / (2 pi)
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 # ---------------------------------------------------------------- squeezing map
@@ -96,7 +98,7 @@ def test_flat_limit_handled_without_error():
 def test_divergent_squeezing():
     with pytest.raises(DivergentSqueezing) as info:
         squeeze_param(1e-18, 1.0)
-    assert info.value.product == pytest.approx(1e-18, rel=1e-12)
+    assert info.value.product == pytest.approx(1e-18, rel=1e-12, abs=0.0)
     assert repr(info.value.product) in str(info.value)
 
     # one decade larger no longer rounds exp(-2 pi M Omega) up to 1
@@ -161,10 +163,10 @@ def test_embed_zero_coefficients_and_tail():
     inv_cosh = math.sqrt(3.0) / 2.0
     for n in range(n_max + 1):
         amp = state.amplitudes[layout.flat_index((n, n))]
-        assert amp == pytest.approx(0.5**n * inv_cosh, rel=1e-13)
+        assert amp == pytest.approx(0.5**n * inv_cosh, rel=1e-13, abs=0.0)
     assert np.count_nonzero(state.amplitudes) == n_max + 1
 
-    assert tail == pytest.approx(0.5 ** (2 * (n_max + 1)), rel=1e-13)
+    assert tail == pytest.approx(0.5 ** (2 * (n_max + 1)), rel=1e-13, abs=0.0)
     assert state.norm() ** 2 == pytest.approx(1.0 - tail, abs=1e-13)
 
 
@@ -178,6 +180,22 @@ def test_tail_formulas_match_brute_series():
             (n + 1) * x**n for n in range(n_max, 3000)
         )
         assert one_tail(params, n_max) == pytest.approx(brute_one, rel=1e-10)
+
+
+@pytest.mark.parametrize("tanh_r, n_max", [(0.5, 30), (0.5, 60), (0.99999, 1318555)])
+def test_tails_keep_relative_precision_near_divergence(tanh_r, n_max):
+    # x = tanh^2 r = exp(-4 pi M Omega) in 60-digit decimals; a power of
+    # the rounded x drifts by about n_max ulps, and 1 - (1 - zero)(1 - one)
+    # rounds to 0 below 1e-16
+    params = SqueezeParams.from_tanh(tanh_r)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = (-4 * PI_60 * Decimal(params.mass) * Decimal(params.frequency)).exp()
+        zero = x ** (n_max + 1)
+        one = x**n_max * (1 + n_max * (1 - x))
+        expected = [float(zero), float(one), float(1 - (1 - zero) * (1 - one))]
+    got = [zero_tail(params, n_max), one_tail(params, n_max), dual_rail_tail(params, n_max)]
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_embed_one_flat_limit_and_norm():
@@ -241,7 +259,7 @@ def test_embed_dual_rail():
     state, tail = embed_dual_rail(SimpleNamespace(alpha=s, beta=s), params, pairs, 30)
     assert state.norm() == pytest.approx(1.0, abs=1e-8)
     t0, t1 = zero_tail(params, 30), one_tail(params, 30)
-    assert tail == pytest.approx(1.0 - (1.0 - t0) * (1.0 - t1), rel=1e-12)
+    assert tail == pytest.approx(t0 + t1 * (1.0 - t0), rel=1e-12, abs=0.0)
 
 
 def test_embed_dual_rail_is_linear():
@@ -304,21 +322,36 @@ def test_required_cutoff_boundaries():
 
     params = SqueezeParams.from_tanh(0.5)
     n = required_cutoff(params, 1e-12)
-    assert n == 22
-    assert one_tail(params, n) <= 1e-12 < one_tail(params, n - 1)
+    assert n == 23
+    assert dual_rail_tail(params, n) <= 1e-12 < dual_rail_tail(params, n - 1)
 
     loose = required_cutoff(params, 0.5)
     assert loose <= 3
-    assert one_tail(params, loose) <= 0.5
+    assert dual_rail_tail(params, loose) <= 0.5
 
 
 def test_required_cutoff_known_values():
-    expected = {0.1: 6, 0.3: 11, 0.5: 19, 0.7: 37}
-    for t, n in expected.items():
+    # (tanh r, epsilon): cutoff, each the first n whose dual-rail tail is
+    # within epsilon in a 60-digit search
+    expected = {
+        (0.1, 1e-10): 6,
+        (0.3, 1e-10): 11,
+        (0.5, 1e-10): 19,
+        (0.7, 1e-10): 37,
+        (0.1, 1e-20): 11,
+        (0.3, 1e-16): 17,
+        (0.5, 1e-16): 29,
+        (0.5, 1e-20): 36,
+        (0.7, 1e-14): 50,
+        (0.7, 1e-20): 70,
+        (0.9, 1e-20): 237,
+        (0.99, 1e-20): 2488,
+    }
+    for (t, epsilon), n in expected.items():
         params = SqueezeParams.from_tanh(t)
-        got = required_cutoff(params, 1e-10)
-        assert got == n
-        assert one_tail(params, got) <= 1e-10 < one_tail(params, got - 1)
+        got = required_cutoff(params, epsilon)
+        assert got == n, (t, epsilon)
+        assert dual_rail_tail(params, got) <= epsilon < dual_rail_tail(params, got - 1)
 
 
 def test_required_cutoff_monotone_in_epsilon():

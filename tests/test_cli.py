@@ -118,6 +118,15 @@ def test_simulate_matches_the_closed_form(capsys):
     assert int(summary["n_max"]) >= 1
 
 
+def test_simulate_reported_loss_stays_within_epsilon(capsys):
+    # tanh r 0.99: the one-photon tail alone is within 1e-10 at cutoff 1310,
+    # where the run loses 1.02e-10
+    assert run_cli(["simulate", "--mass", "1", "--omega", "0.0016", "--max-cutoff", "2000"]) == 0
+    summary = parse_summary_comments(capsys.readouterr().out)
+    assert summary["n_max"] == "1312"
+    assert float(summary["truncation_loss"]) <= 1e-10
+
+
 def test_simulate_json_format(capsys):
     assert run_cli(
         ["simulate", "--mass", "0.5", "--omega", "1", "--beta-re", "1", "--alpha-re", "0", "--format", "json"]
@@ -196,6 +205,24 @@ def test_sweep_csv_and_json_carry_identical_values(tmp_path):
             else:
                 assert float(cell) == value  # 17 digits round-trip exactly
         assert abs(entry["fidelity_numeric"] - entry["fidelity_analytic"]) <= 1e-6
+
+
+def test_sweep_reported_loss_stays_within_epsilon(tmp_path):
+    # the first corner sits where the one-photon tail alone is within 1e-10
+    # at cutoff 12, where the run loses 1.0086e-10
+    out = tmp_path / "corner.csv"
+    assert run_cli([
+        "sweep",
+        "--radius-min", "0.61893828630197589", "--radius-max", "1", "--radius-steps", "2",
+        "--omega-min", "0.54590135636655879", "--omega-max", "1", "--omega-steps", "2",
+        "--mode", "with-simulation", "--out", str(out),
+    ]) == 0
+    header, rows = parse_csv(out.read_text())
+    records = [dict(zip(header, r)) for r in rows]
+    assert (records[0]["radius"], records[0]["omega"]) == ("0.61893828630197589", "0.54590135636655879")
+    assert records[0]["n_max"] == "13"
+    for record in records:
+        assert float(record["truncation_loss"]) <= 1e-10
 
 
 def test_sweep_records_divergent_and_capped_points(tmp_path):

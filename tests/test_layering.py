@@ -1,5 +1,6 @@
 """Import boundaries: the dense oracle shares no Bell measurement with the
-package, and the package never imports the tests."""
+package, the package never imports the tests, and only ``channel`` reads
+the tail weights, so that ``required_cutoff`` stays the one cutoff rule."""
 
 import ast
 from pathlib import Path
@@ -38,5 +39,33 @@ def test_package_does_not_import_the_tests():
         for path in sources
         for module, _ in _imports(path)
         if module == "tests" or module.startswith("tests.") or module == "oracles"
+    ]
+    assert found == []
+
+
+def _identifiers(path):
+    """Every name a file uses, defines, imports or reads as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):  # the imported name, not its alias
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_only_the_channel_reads_the_tail_weights():
+    tails = {"zero_tail", "one_tail", "dual_rail_tail", "_tails"}
+    package = ROOT / "src" / "horizon_teleport"
+    channel = package / "channel.py"
+    assert tails <= set(_identifiers(channel))
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(package.rglob("*.py"))
+        if path != channel
+        for name in _identifiers(path)
+        if name in tails
     ]
     assert found == []

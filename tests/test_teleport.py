@@ -84,31 +84,25 @@ def test_dual_rail_qubit_validation_and_state():
 def test_protocol_config_validation():
     qubit = DualRailQubit(1.0, 0.0)
     params = SqueezeParams.from_tanh(0.5)
-    for bad_eps in (0.0, -1e-3, 0.2):
+    for bad in (0, -1):
         with pytest.raises(ValueError):
-            ProtocolConfig(params=params, input=qubit, epsilon_trunc=bad_eps)
-    with pytest.raises(ValueError):
-        ProtocolConfig(params=params, input=qubit, n_max_bob=0)
+            ProtocolConfig(params=params, input=qubit, n_max_bob=bad)
+    with pytest.raises(TypeError):
+        ProtocolConfig(params=params, input=qubit)  # the cutoff is not derived
 
-    derived = ProtocolConfig(params=params, input=qubit, epsilon_trunc=1e-10)
-    assert derived.bob_cutoff() == 19
-    explicit = ProtocolConfig(params=params, input=qubit, n_max_bob=7)
-    assert explicit.bob_cutoff() == 7
+    config = ProtocolConfig(params=params, input=qubit, n_max_bob=required_cutoff(params, 1e-10))
+    assert config.n_max_bob == 19
 
 
 @pytest.mark.parametrize("tanh_r, epsilon, n_max", [(0.2815, 1e-10, 11), (0.3235, 1e-6, 8)])
 def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
-    # required_cutoff bounds the one-photon tail only (10 and 7 here); the
-    # budget check holds the dual-rail tail, which needs one more level
+    # the one-photon tail alone is within the budget one level lower (10
+    # and 7 here); the dual-rail tail, the loss a run reports, is not
     params = SqueezeParams.from_tanh(tanh_r)
-
-    def loss(n):
-        return 1.0 - (1.0 - zero_tail(params, n)) * (1.0 - one_tail(params, n))
-
-    config = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0), epsilon_trunc=epsilon)
-    assert required_cutoff(params, epsilon) == n_max - 1
-    assert config.bob_cutoff() == n_max
-    assert loss(n_max) <= epsilon < loss(n_max - 1)
+    assert required_cutoff(params, epsilon) == n_max
+    assert one_tail(params, n_max - 1) <= epsilon
+    assert dual_rail_tail(params, n_max) <= epsilon < dual_rail_tail(params, n_max - 1)
+    config = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0), n_max_bob=n_max)
     outcomes = run_protocol(config)
     assert 1.0 - sum(o.probability for o in outcomes) <= epsilon
     premeasure_weight(config)
@@ -306,7 +300,9 @@ def test_moderate_squeezing_matches_the_closed_form():
 
 def test_unit_radius_point_matches_the_closed_form():
     params = squeeze_param(0.5, 1.0)
-    config = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0))
+    config = ProtocolConfig(
+        params=params, input=DualRailQubit(1.0, 0.0), n_max_bob=required_cutoff(params, 1e-10)
+    )
     outcomes = run_protocol(config)
     expected = (1.0 - math.exp(-2.0 * math.pi)) ** 3
     assert average_fidelity(outcomes) == pytest.approx(expected, abs=1e-6)
@@ -327,7 +323,7 @@ def _eight_mode_protocol(config):
     """The protocol on the full eight-mode input-resource state: project
     each Bell outcome, apply the correction matrix to the region-I axes,
     reduce to region I and read <phi| rho_I |phi>."""
-    qubit, n_max = config.input, config.bob_cutoff()
+    qubit, n_max = config.input, config.n_max_bob
     d = n_max + 1
     full = tensor(input_state(qubit), bell_resource(config.params, resource_layout(n_max), n_max))
     basis = bell_basis()
@@ -395,7 +391,10 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
     # n_max 37 and 1312: the dense six-mode resource would be 133 MB and
     # 190 TB, and an (n_max + 1)^2 grid per branch would peak at 0.1 MB and
     # 98 MB, so the limits hold a run to O(n_max)
-    config = ProtocolConfig(params=SqueezeParams.from_tanh(tanh_r), input=_seeded_qubit(3))
+    params = SqueezeParams.from_tanh(tanh_r)
+    config = ProtocolConfig(
+        params=params, input=_seeded_qubit(3), n_max_bob=required_cutoff(params, 1e-10)
+    )
     tracemalloc.start()
     try:
         run_protocol(config)
