@@ -28,11 +28,9 @@ from .channel import (
 )
 from .teleport import (
     DualRailQubit,
-    ProtocolConfig,
+    ProtocolRun,
     TeleportOutcome,
-    average_fidelity,
     fidelity_analytic,
-    premeasure_weight,
     run_protocol,
 )
 from .analysis import (
@@ -52,11 +50,9 @@ __all__ = [
     "required_cutoff",
     "squeeze_param",
     "DualRailQubit",
-    "ProtocolConfig",
+    "ProtocolRun",
     "TeleportOutcome",
-    "average_fidelity",
     "fidelity_analytic",
-    "premeasure_weight",
     "run_protocol",
     "SweepGrid",
     "SweepRecord",

@@ -2,9 +2,11 @@
 
 The sweep walks a (horizon radius, frequency) grid, radius-major, and
 evaluates the closed-form fidelity at every point, optionally backing it
-with the simulation where the required cutoff stays under a cap.  The
-convergence report pins how fast the simulated fidelity approaches the
-closed form as the cutoff grows.
+with the simulation where the required cutoff stays under a cap
+(``channel.CUTOFF_CAP`` unless given).  The convergence report pins how
+fast the simulated fidelity approaches the closed form as the cutoff
+grows.  Each simulated point and each convergence row is one
+``teleport.run_protocol`` call, whose fidelity and loss it reports.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class SweepRecord:
 
 
 # fixed, symmetric probe input for simulated sweep points
-_SWEEP_ALPHA = 1.0 / math.sqrt(2.0)
+_SWEEP_QUBIT = teleport.DualRailQubit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
 def _evaluate_point(
@@ -133,23 +135,16 @@ def _evaluate_point(
         return SweepRecord(
             radius, omega, mass, params.r_squeeze, analytic, flags=("cutoff-capped",)
         )
-    config = teleport.ProtocolConfig(
-        params=params,
-        input=teleport.DualRailQubit(_SWEEP_ALPHA, _SWEEP_ALPHA),
-        n_max_bob=n_max,
-    )
-    outcomes = teleport.run_protocol(config)
-    numeric = teleport.average_fidelity(outcomes)
-    loss = 1.0 - sum(o.probability for o in outcomes)
+    run = teleport.run_protocol(params, _SWEEP_QUBIT, n_max)
     return SweepRecord(
         radius,
         omega,
         mass,
         params.r_squeeze,
         analytic,
-        fidelity_numeric=numeric,
+        fidelity_numeric=run.fidelity,
         n_max_used=n_max,
-        truncation_loss=loss,
+        truncation_loss=run.loss,
     )
 
 
@@ -157,7 +152,7 @@ def sweep(
     grid: SweepGrid,
     mode: str = "analytic-only",
     epsilon: float = 1e-10,
-    max_cutoff: int = 40,
+    max_cutoff: int = channel.CUTOFF_CAP,
     workers: int | None = None,
 ) -> list[SweepRecord]:
     """Evaluate the fidelity over the grid, radius-major, deterministically.
@@ -166,7 +161,9 @@ def sweep(
     "divergent" flag.  In with-simulation mode a point runs at the cutoff
     ``channel.required_cutoff`` picks for ``epsilon``; points whose cutoff
     would exceed ``max_cutoff`` fall back to analytic-only records flagged
-    "cutoff-capped" rather than aborting the sweep.
+    "cutoff-capped" rather than aborting the sweep.  ``channel.check_budget``
+    refuses an ``epsilon`` or ``max_cutoff`` out of range before any point
+    runs.
 
     ``workers`` is the number of threads (None or 0 means one: the points
     run in turn on the calling thread).  Two or more run the points on a
@@ -177,10 +174,7 @@ def sweep(
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
-    if not 0.0 < epsilon <= 0.1:
-        raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon!r}")
-    if max_cutoff < 1:
-        raise ValueError(f"max_cutoff must be >= 1, got {max_cutoff}")
+    channel.check_budget(epsilon, max_cutoff)
 
     points = [
         (float(radius), float(omega))
@@ -221,13 +215,6 @@ def convergence_report(
     analytic = teleport.fidelity_analytic(params)
     rows = []
     for n_max in cutoffs:
-        config = teleport.ProtocolConfig(
-            params=params,
-            input=teleport.DualRailQubit(_SWEEP_ALPHA, _SWEEP_ALPHA),
-            n_max_bob=n_max,
-        )
-        outcomes = teleport.run_protocol(config)
-        numeric = teleport.average_fidelity(outcomes)
-        loss = 1.0 - sum(o.probability for o in outcomes)
-        rows.append((n_max, abs(numeric - analytic), loss))
+        run = teleport.run_protocol(params, _SWEEP_QUBIT, n_max)
+        rows.append((n_max, abs(run.fidelity - analytic), run.loss))
     return rows

@@ -11,13 +11,15 @@ in Planck units (the two formulas are consistent: 1 - tanh^2 = cosh^-2).
 
 This module maps (M, Omega) to squeezing parameters, gives the channel
 images of the single-mode vacuum and one-photon states in Schmidt form,
-accounts exactly for the tail weight a Fock cutoff drops, and picks the
-cutoff (``required_cutoff``) whose dual-rail tail, the loss a protocol run
-reports, is within a budget.  The images are supported on |m, m> and
-|m+1, m> (region I, region II); their amplitudes by region-II occupation m
-(``_schmidt_coefficients``) are all that the protocol in ``teleport``
-reads.  The dense embeddings that spread them over the truncated pair
-space (``embed_zero``, ``embed_one``, ``embed_dual_rail``,
+accounts exactly for the tail weight a Fock cutoff drops, and owns the
+truncation budget: ``check_budget`` holds a budget epsilon to (0,
+EPSILON_MAX] and a cutoff cap to at least 1 (CUTOFF_CAP by default), and
+``required_cutoff`` picks the cutoff whose dual-rail tail, the loss a
+protocol run reports, is within epsilon.  The images are supported on
+|m, m> and |m+1, m> (region I, region II); their amplitudes by region-II
+occupation m (``_schmidt_coefficients``) are all that the protocol in
+``teleport`` reads.  The dense embeddings that spread them over the
+truncated pair space (``embed_zero``, ``embed_one``, ``embed_dual_rail``,
 ``thermal_reduced``) are test references and live in ``tests/oracles.py``.
 """
 
@@ -35,7 +37,15 @@ __all__ = [
     "squeeze_param",
     "radius_to_mass",
     "required_cutoff",
+    "check_budget",
+    "EPSILON_MAX",
+    "CUTOFF_CAP",
 ]
+
+# the truncation budget: epsilon lies in (0, EPSILON_MAX], and no cutoff
+# above the cap is chosen; 10^5 levels hold about 6.4 MB of Bob's state
+EPSILON_MAX = 0.1
+CUTOFF_CAP = 100000
 
 
 class DivergentSqueezing(Exception):
@@ -147,9 +157,11 @@ def _schmidt_coefficients(
     The vacuum embedding puts tanh^m r / cosh r on |m, m>_(I, II) and the
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
+    tanh^m r is read as exp(-2 pi M Omega m), the decay constant of the
+    tails, not as a power of the rounded tanh r, which drifts by about m ulps.
     """
     m = np.arange(n_max + 1)
-    powers = params.tanh_r ** m
+    powers = np.exp(-2.0 * math.pi * params.mass * params.frequency * m)
     zero = powers / params.cosh_r
     one = powers * np.sqrt(m + 1.0) * params.sech2_r
     one[n_max] = 0.0
@@ -190,21 +202,27 @@ def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
     return _tails(params)(n_max)[2]
 
 
+def check_budget(epsilon: float, hard_cap: int) -> None:
+    """Raise ``ValueError`` unless 0 < epsilon <= EPSILON_MAX and the
+    cutoff cap is at least 1."""
+    if not 0.0 < epsilon <= EPSILON_MAX:
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}], got {epsilon!r}")
+    if hard_cap < 1:
+        raise ValueError(f"cutoff cap must be >= 1, got {hard_cap}")
+
+
 def required_cutoff(
-    params: SqueezeParams, epsilon: float, hard_cap: int = 100000
+    params: SqueezeParams, epsilon: float, hard_cap: int = CUTOFF_CAP
 ) -> int:
     """Smallest cutoff whose dual-rail tail weight is within ``epsilon``.
 
     The dual-rail tail is what a protocol run at that cutoff loses, so the
     truncation loss it reports, 1 - sum of outcome probabilities, stays
     within ``epsilon`` up to rounding.  Monotone nonincreasing in epsilon.
-    Raises ``CutoffInfeasible`` when even ``hard_cap`` cannot meet the
-    budget.
+    Raises ``ValueError`` for a budget that ``check_budget`` refuses and
+    ``CutoffInfeasible`` when even ``hard_cap`` cannot meet it.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if hard_cap < 1:
-        raise ValueError(f"hard cap must be >= 1, got {hard_cap}")
+    check_budget(epsilon, hard_cap)
 
     tails = _tails(params)  # reads params once, not at every step below
     if tails(hard_cap)[2] > epsilon:

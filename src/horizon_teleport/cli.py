@@ -5,6 +5,12 @@ parameter point, ``simulate`` runs the protocol on Bob's Fock sectors and
 compares, ``sweep`` writes the fidelity surface over a (radius, omega)
 grid, and ``converge`` tabulates simulation error against the cutoff.
 
+``simulate`` and simulated ``sweep`` points run at the cutoff
+``channel.required_cutoff`` picks for ``--epsilon``, under ``--max-cutoff``
+(``channel.CUTOFF_CAP`` by default); ``channel.check_budget`` holds both to
+their range.  ``simulate`` prints the outcomes, fidelity and loss of one
+``teleport.run_protocol`` call.
+
 Exit codes: 0 success, 1 validation failure (including a cutoff whose run
 would not fit in physical memory), 2 divergent squeezing, 3 infeasible
 cutoff.  Output formats are deterministic byte for byte:
@@ -142,10 +148,7 @@ def _cmd_fidelity(args) -> int:
 def _cmd_simulate(args) -> int:
     radius, mass = _resolve_geometry(args)
     omega = _require_positive(args.omega, "--omega")
-    if not 0.0 < args.epsilon <= 0.1:
-        raise ValueError(f"--epsilon must lie in (0, 0.1], got {args.epsilon!r}")
-    if args.max_cutoff < 1:
-        raise ValueError(f"--max-cutoff must be >= 1, got {args.max_cutoff}")
+    channel.check_budget(args.epsilon, args.max_cutoff)
 
     alpha = complex(args.alpha_re, args.alpha_im)
     beta = complex(args.beta_re, args.beta_im)
@@ -159,12 +162,9 @@ def _cmd_simulate(args) -> int:
 
     params = channel.squeeze_param(mass, omega)
     n_max = channel.required_cutoff(params, args.epsilon, hard_cap=args.max_cutoff)
-    config = teleport.ProtocolConfig(params=params, input=qubit, n_max_bob=n_max)
-    outcomes = teleport.run_protocol(config)
-
+    outcomes, fidelity, loss = teleport.run_protocol(params, qubit, n_max)
     analytic = teleport.fidelity_analytic(params)
-    deviation = abs(teleport.average_fidelity(outcomes) - analytic)
-    loss = 1.0 - sum(o.probability for o in outcomes)
+    deviation = abs(fidelity - analytic)
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-re", type=float, default=0.0, help="Re beta of the input qubit")
     p.add_argument("--beta-im", type=float, default=0.0, help="Im beta of the input qubit")
     p.add_argument("--epsilon", type=float, default=1e-10, help="truncation tail budget")
-    p.add_argument("--max-cutoff", type=int, default=40, help="hard cap on the Fock cutoff")
+    p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="hard cap on the Fock cutoff")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p = add("sweep", "fidelity surface over a (radius, omega) grid", _cmd_sweep)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-scale", choices=analysis._SCALES, default="log", help="omega axis spacing")
     p.add_argument("--mode", choices=analysis.SWEEP_MODES, default="analytic-only", help="evaluation mode")
     p.add_argument("--epsilon", type=float, default=1e-10, help="truncation tail budget")
-    p.add_argument("--max-cutoff", type=int, default=40, help="cutoff cap for simulated points")
+    p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="cutoff cap for simulated points")
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +42,12 @@ from .fock import TOLERANCE, project
 __all__ = [
     "DualRailQubit",
     "TeleportOutcome",
-    "ProtocolConfig",
+    "ProtocolRun",
     "OUTCOME_LABELS",
     "DEGENERATE_PROBABILITY",
     "BELL_TABLE",
     "run_protocol",
     "fidelity_analytic",
-    "premeasure_weight",
-    "average_fidelity",
 ]
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
@@ -106,23 +105,13 @@ class TeleportOutcome:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """One teleportation run.
+class ProtocolRun(NamedTuple):
+    """One run: the outcomes in label order, their probability-weighted
+    fidelity, and the truncation loss, 1 - sum of their probabilities."""
 
-    ``n_max_bob`` is the Fock cutoff of Bob's four squeezed modes, at least
-    1.  The run loses the weight of the dual-rail tail above it, reported
-    as 1 - sum of outcome probabilities; ``channel.required_cutoff`` gives
-    the smallest cutoff whose loss is within a budget.
-    """
-
-    params: SqueezeParams
-    input: DualRailQubit
-    n_max_bob: int
-
-    def __post_init__(self) -> None:
-        if self.n_max_bob < 1:
-            raise ValueError(f"n_max_bob must be >= 1, got {self.n_max_bob!r}")
+    outcomes: list[TeleportOutcome]
+    fidelity: float
+    loss: float
 
 
 def _correct(label: str, branch, target):
@@ -160,18 +149,31 @@ def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
     )
 
 
-def _bob_branches(config: ProtocolConfig):
-    """Bob's half of the resource, one entry per logical branch: |0L>
-    (photon on rail 1), then |1L> (photon on rail 2).
+def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> ProtocolRun:
+    """Teleport ``qubit`` on Bob's Schmidt vectors at Fock cutoff ``n_max``
+    (at least 1): measure, correct, score.
 
-    A branch is the product of its two rails, each held as (amplitudes by
-    region-II occupation m, region-I offset): the photon rail has offset 1
-    (|m+1, m>), the vacuum rail offset 0 (|m, m>).  The two branches occupy
-    disjoint kets, so their squared norms add.  A cutoff whose run would
-    need more than the machine's physical memory raises ``ValueError``
-    before any array is allocated.
+    Bob's logical branches, |0L> (photon on rail 1) then |1L>, are products
+    of two rails, each held as (amplitudes by region-II occupation m,
+    region-I offset): offset 1 on the photon rail (|m+1, m>), 0 on the
+    vacuum rail (|m, m>).  The branches occupy disjoint kets, so their
+    squared norms add.  For each Bell outcome, projecting its row of
+    ``BELL_TABLE`` onto the input (alpha, beta) leaves a logical vector v
+    on Alice's ancilla and Bob the state (conj(v0) E0 + conj(v1) E1) /
+    sqrt(2); the Born probability is the projection weight times its
+    squared norm.  The fidelity with region II traced out is
+    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2
+    of the corrected state psi: ``_correct`` finds each branch's entries on
+    region-I occupations (1, 0) and (0, 1), added coherently by (m1, m2).
+
+    The run loses the dual-rail tail above ``n_max``, which
+    ``channel.required_cutoff`` bounds.  Time and memory are O(n_max); a
+    cutoff that would not fit in physical memory raises ``ValueError``
+    before any array is allocated, and a run whose outcomes are all
+    degenerate, which has no average fidelity, raises it at the end.
     """
-    n_max = config.n_max_bob
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     needed = _PEAK_BYTES_PER_LEVEL * (n_max + 1)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:
@@ -179,26 +181,8 @@ def _bob_branches(config: ProtocolConfig):
             f"cutoff {n_max} needs about {needed / 1e9:.3g} GB for Bob's state, "
             f"more than the {physical / 1e9:.3g} GB of physical memory"
         )
-    zero, one = channel._schmidt_coefficients(config.params, n_max)
-    return ((one, 1), (zero, 0)), ((zero, 0), (one, 1))
-
-
-def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
-    """Teleportation on Bob's Schmidt vectors: measure, correct, score.
-
-    For each Bell outcome, projects its row of ``BELL_TABLE`` onto the input
-    (alpha, beta), which leaves a logical vector v on Alice's ancilla and
-    Bob the state (conj(v0) E0 + conj(v1) E1) / sqrt(2) of his branches
-    (see ``_bob_branches``); the Born probability is the projection weight
-    times its squared norm.  The fidelity with region II traced out is
-    F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2
-    of the corrected state psi: ``_correct`` finds each branch's entries on
-    region-I occupations (1, 0) and (0, 1), added coherently by (m1, m2).
-    Time and memory are O(n_max); a cutoff that would not fit in physical
-    memory raises ``ValueError`` first.  Returns the outcomes in label order.
-    """
-    qubit = config.input
-    branches = _bob_branches(config)
+    zero, one = channel._schmidt_coefficients(params, n_max)
+    branches = ((one, 1), (zero, 0)), ((zero, 0), (one, 1))
     branch_norms = [float(a1 @ a1) * float(a2 @ a2) for (a1, _), (a2, _) in branches]
     targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
     logical = np.array([qubit.alpha, qubit.beta])
@@ -221,29 +205,11 @@ def run_protocol(config: ProtocolConfig) -> list[TeleportOutcome]:
                     overlap[m] = overlap.get(m, 0.0) + conj_amp * scale * amplitude
         fidelity = sum(abs(c) ** 2 for c in overlap.values()) / norm_sq
         outcomes.append(TeleportOutcome(label, probability, fidelity))
-    return outcomes
+    loss = 1.0 - sum(o.probability for o in outcomes)
+    return ProtocolRun(outcomes, _average_fidelity(outcomes), loss)
 
 
-def premeasure_weight(config: ProtocolConfig) -> tuple[float, float]:
-    """Single-excitation weight of Bob's region-I pair before measurement.
-
-    The weight of the resource entries whose region-I occupations are
-    (1, 0) or (0, 1), found by ``_correct`` with the identity correction 00.
-    Returns (measured, claimed) where claimed is the closed form
-    1 / cosh^6 r; the two are reported side by side for diagnostics and
-    deliberately not asserted equal by this operation.
-    """
-    measured = 0.0
-    for branch in _bob_branches(config):
-        for target in ((1, 0), (0, 1)):
-            hit = _correct("00", branch, target)
-            if hit is not None:
-                measured += 0.5 * float(hit[1]) ** 2  # ancilla weight 1/2
-    claimed = fidelity_analytic(config.params)
-    return measured, claimed
-
-
-def average_fidelity(outcomes: list[TeleportOutcome]) -> float:
+def _average_fidelity(outcomes: list[TeleportOutcome]) -> float:
     """Probability-weighted fidelity over the non-degenerate outcomes."""
     weights = [o.probability for o in outcomes if "degenerate" not in o.flags]
     values = [o.fidelity for o in outcomes if "degenerate" not in o.flags]

@@ -680,15 +680,15 @@ def correction_matrix(label: str, cutoff: int = 1) -> np.ndarray:
     return matrix
 
 
-def dense_protocol(config):
-    """(outcomes, premeasure weight) on the dense resource.
+def dense_protocol(params, qubit, n_max):
+    """(outcomes, premeasure weight) of a run of ``qubit`` at cutoff
+    ``n_max`` on the dense resource.
 
     Outcomes are (label, probability, fidelity, flags) in label order; the
     premeasure weight is the region-I weight of span{|1,0>, |0,1>}, read
     as the squared norm of the resource entries with those occupations.
     """
-    qubit, n_max = config.input, config.n_max_bob
-    resource = bell_resource(config.params, resource_layout(n_max), n_max)
+    resource = bell_resource(params, resource_layout(n_max), n_max)
     basis = bell_basis()
     qubit_state = input_state(qubit)
 

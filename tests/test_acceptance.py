@@ -20,14 +20,8 @@ from horizon_teleport.channel import (
     required_cutoff,
     squeeze_param,
 )
-from horizon_teleport.teleport import (
-    DualRailQubit,
-    ProtocolConfig,
-    fidelity_analytic,
-    premeasure_weight,
-    run_protocol,
-)
-from oracles import RegionPair, embed_one, embed_zero, inner, thermal_reduced
+from horizon_teleport.teleport import DualRailQubit, fidelity_analytic, run_protocol
+from oracles import RegionPair, dense_protocol, embed_one, embed_zero, inner, thermal_reduced
 
 
 def closed_form(tanh_r):
@@ -54,10 +48,7 @@ def test_simulated_fidelity_matches_the_analytic_law():
         assert n_max <= 40
         expected = closed_form(t)
         for qubit in qubits:
-            outcomes = run_protocol(
-                ProtocolConfig(params=params, input=qubit, n_max_bob=n_max)
-            )
-            for outcome in outcomes:
+            for outcome in run_protocol(params, qubit, n_max).outcomes:
                 deviation = abs(outcome.fidelity - expected)
                 worst = max(worst, deviation)
                 assert deviation <= 1e-6, (t, outcome.label)
@@ -100,8 +91,7 @@ def test_strong_squeezing_matches_the_analytic_law():
             raw = rng.normal(size=4)
             raw /= math.sqrt(float(np.sum(raw**2)))
             qubit = DualRailQubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-            config = ProtocolConfig(params=params, input=qubit, n_max_bob=n_max)
-            for outcome in run_protocol(config):
+            for outcome in run_protocol(params, qubit, n_max).outcomes:
                 deviation = abs(outcome.fidelity - expected)
                 worst = max(worst, deviation)
                 assert deviation <= 1e-6, (t, outcome.label)
@@ -117,11 +107,7 @@ def test_spot_fidelity_values():
     analytic = closed_form(half.tanh_r)
     assert analytic == pytest.approx(27.0 / 64.0, abs=1e-9)
 
-    outcomes = run_protocol(
-        ProtocolConfig(
-            params=half, input=DualRailQubit(1.0, 0.0), n_max_bob=required_cutoff(half, 1e-10)
-        )
-    )
+    outcomes = run_protocol(half, DualRailQubit(1.0, 0.0), required_cutoff(half, 1e-10)).outcomes
     numeric = sum(o.probability * o.fidelity for o in outcomes) / sum(
         o.probability for o in outcomes
     )
@@ -139,13 +125,7 @@ def test_spot_fidelity_values():
 def test_flat_space_limit_recovers_exact_teleportation():
     params = squeeze_param(10.0, 10.0)  # huge M*Omega: r < 1e-100 but nonzero
     assert 0.0 < params.r_squeeze < 1e-100
-    outcomes = run_protocol(
-        ProtocolConfig(
-            params=params,
-            input=DualRailQubit(0.6, 0.8j),
-            n_max_bob=required_cutoff(params, 1e-10),
-        )
-    )
+    outcomes = run_protocol(params, DualRailQubit(0.6, 0.8j), required_cutoff(params, 1e-10)).outcomes
     for outcome in outcomes:
         assert outcome.probability == pytest.approx(0.25, abs=1e-10)
         assert outcome.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -212,20 +192,16 @@ def test_embedding_norms_and_orthogonality_across_the_squeezing_range():
 
 
 def test_single_excitation_weight_report():
-    # diagnostic only: the measured one-photon sector weight of Bob's
-    # premeasurement state is reported next to the claimed closed form,
-    # and the two are deliberately not asserted equal
+    # the one-photon sector weight of Bob's premeasurement state, measured
+    # on the dense oracle, is the closed form sech^6 r at any cutoff
     lines = []
     for t in (0.3, 0.5):
         params = SqueezeParams.from_tanh(t)
-        config = ProtocolConfig(
-            params=params,
-            input=DualRailQubit(1.0 / math.sqrt(2), 1.0 / math.sqrt(2)),
-            n_max_bob=required_cutoff(params, 1e-10),
-        )
-        measured, claimed = premeasure_weight(config)
-        assert 0.0 <= measured <= 1.0
+        qubit = DualRailQubit(1.0 / math.sqrt(2), 1.0 / math.sqrt(2))
+        _, measured = dense_protocol(params, qubit, required_cutoff(params, 1e-10))
+        claimed = fidelity_analytic(params)
         assert claimed == pytest.approx(closed_form(t), abs=1e-12)
+        assert measured == pytest.approx(claimed, rel=1e-12, abs=0.0)
         lines.append(
             f"tanh r = {t}: measured = {measured!r}, claimed = {claimed!r}, "
             f"|diff| = {abs(measured - claimed):.3e}"

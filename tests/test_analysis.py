@@ -12,7 +12,7 @@ from horizon_teleport.analysis import (
     convergence_report,
     sweep,
 )
-from horizon_teleport.channel import SqueezeParams, one_tail, squeeze_param, zero_tail
+from horizon_teleport.channel import SqueezeParams, dual_rail_tail, squeeze_param
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -193,11 +193,10 @@ def test_convergence_report_error_decreases():
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-6
 
+    # 1 - sum p is ulp noise below about 1e-15 (9.99e-16 at cutoff 30,
+    # where the tail is 2.06e-17), so the gate is absolute, at a few ulps
     for n_max, _, loss in rows:
-        expected = 1.0 - (1.0 - zero_tail(params, n_max)) * (
-            1.0 - one_tail(params, n_max)
-        )
-        assert loss == pytest.approx(expected, abs=1e-10)
+        assert loss == pytest.approx(dual_rail_tail(params, n_max), rel=0.0, abs=2e-15)
 
 
 def test_convergence_loss_shrinks_geometrically():
@@ -214,7 +213,7 @@ def test_convergence_report_measures_against_the_given_closed_form(monkeypatch):
     # from r moves the closed form by 1.7e-10 relative; a zero numeric
     # fidelity makes the error column the closed form itself
     params = squeeze_param(1e-3, 1e-4)
-    monkeypatch.setattr(teleport, "average_fidelity", lambda outcomes: 0.0)
+    monkeypatch.setattr(teleport, "_average_fidelity", lambda outcomes: 0.0)
     rows = convergence_report(params, [1, 2])
     assert [error for _, error, _ in rows] == [teleport.fidelity_analytic(params)] * 2
 

@@ -325,9 +325,11 @@ def test_required_cutoff_boundaries():
     assert n == 23
     assert dual_rail_tail(params, n) <= 1e-12 < dual_rail_tail(params, n - 1)
 
-    loose = required_cutoff(params, 0.5)
+    loose = required_cutoff(params, 0.1)
     assert loose <= 3
-    assert dual_rail_tail(params, loose) <= 0.5
+    assert dual_rail_tail(params, loose) <= 0.1
+    with pytest.raises(ValueError):
+        required_cutoff(params, 0.5)  # the budget lies in (0, 0.1]
 
 
 def test_required_cutoff_known_values():

@@ -156,7 +156,8 @@ def test_simulate_reads_a_negative_amplitude_in_exponent_notation(capsys):
 
 
 def test_simulate_infeasible_cutoff_exits_3(capsys):
-    assert run_cli(["simulate", "--mass", "0.001", "--omega", "0.1"]) == 3
+    # M Omega = 1e-4 needs cutoff 20986
+    assert run_cli(["simulate", "--mass", "0.001", "--omega", "0.1", "--max-cutoff", "40"]) == 3
     assert "cutoff" in capsys.readouterr().err
 
 

@@ -1,6 +1,9 @@
 """Import boundaries: the dense oracle shares no Bell measurement with the
 package, the package never imports the tests, and only ``channel`` reads
-the tail weights, so that ``required_cutoff`` stays the one cutoff rule."""
+the tail weights, so that ``required_cutoff`` stays the one cutoff rule.
+One run path: the commands reach the protocol through one
+``run_protocol`` call each, only ``teleport`` sums outcome probabilities,
+and only ``channel`` holds the truncation budget to its range."""
 
 import ast
 from pathlib import Path
@@ -69,3 +72,68 @@ def test_only_the_channel_reads_the_tail_weights():
         if name in tails
     ]
     assert found == []
+
+
+PACKAGE = ROOT / "src" / "horizon_teleport"
+
+
+def _names_in(node):
+    """Every name or attribute read anywhere under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_each_command_runs_the_protocol_through_one_call():
+    callers = sorted(
+        f"{path.stem}.{function.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and "run_protocol" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    )
+    assert callers == [
+        "analysis._evaluate_point",
+        "analysis.convergence_report",
+        "cli._cmd_simulate",
+    ]
+
+
+def test_only_the_protocol_sums_outcome_probabilities():
+    sums = {
+        path.stem: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and "probability" in set(_names_in(node))
+        ]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert sums.pop("teleport")  # the loss and the average
+    assert all(lines == [] for lines in sums.values()), sums
+
+
+def test_only_the_channel_bounds_the_truncation_budget():
+    budget = {"epsilon", "max_cutoff", "hard_cap"}
+    found = {
+        path.stem: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Compare)
+            and budget & set(_names_in(node))
+            and any(
+                isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+                for side in [node.left, *node.comparators]
+            )
+        ]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("channel")  # check_budget
+    assert all(lines == [] for lines in found.values()), found

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horizon_teleport import fock, teleport
+from horizon_teleport import channel, fock, teleport
 from horizon_teleport.channel import (
     SqueezeParams,
     dual_rail_tail,
@@ -22,10 +22,7 @@ from horizon_teleport.teleport import (
     DEGENERATE_PROBABILITY,
     OUTCOME_LABELS,
     DualRailQubit,
-    ProtocolConfig,
-    average_fidelity,
     fidelity_analytic,
-    premeasure_weight,
     run_protocol,
 )
 from oracles import (
@@ -81,17 +78,18 @@ def test_dual_rail_qubit_validation_and_state():
     assert state.amplitudes[state.layout.flat_index((0, 1))] == 0.8j
 
 
-def test_protocol_config_validation():
+def test_run_protocol_validation():
     qubit = DualRailQubit(1.0, 0.0)
     params = SqueezeParams.from_tanh(0.5)
     for bad in (0, -1):
-        with pytest.raises(ValueError):
-            ProtocolConfig(params=params, input=qubit, n_max_bob=bad)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            run_protocol(params, qubit, bad)
     with pytest.raises(TypeError):
-        ProtocolConfig(params=params, input=qubit)  # the cutoff is not derived
+        run_protocol(params, qubit)  # the cutoff is not derived
 
-    config = ProtocolConfig(params=params, input=qubit, n_max_bob=required_cutoff(params, 1e-10))
-    assert config.n_max_bob == 19
+    n_max = required_cutoff(params, 1e-10)
+    assert n_max == 19
+    assert len(run_protocol(params, qubit, n_max).outcomes) == 4
 
 
 @pytest.mark.parametrize("tanh_r, epsilon, n_max", [(0.2815, 1e-10, 11), (0.3235, 1e-6, 8)])
@@ -102,10 +100,8 @@ def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
     assert required_cutoff(params, epsilon) == n_max
     assert one_tail(params, n_max - 1) <= epsilon
     assert dual_rail_tail(params, n_max) <= epsilon < dual_rail_tail(params, n_max - 1)
-    config = ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0), n_max_bob=n_max)
-    outcomes = run_protocol(config)
-    assert 1.0 - sum(o.probability for o in outcomes) <= epsilon
-    premeasure_weight(config)
+    run = run_protocol(params, DualRailQubit(1.0, 0.0), n_max)
+    assert 1.0 - sum(o.probability for o in run.outcomes) == run.loss <= epsilon
 
 
 # ---------------------------------------------------------------- Bell machinery
@@ -258,9 +254,7 @@ def test_fidelity_analytic_examples():
 
 def test_flat_space_protocol_is_exact():
     for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (S, S * 1j)):
-        outcomes = run_protocol(
-            ProtocolConfig(params=FLAT, input=DualRailQubit(alpha, beta), n_max_bob=1)
-        )
+        outcomes = run_protocol(FLAT, DualRailQubit(alpha, beta), 1).outcomes
         assert [o.label for o in outcomes] == list(OUTCOME_LABELS)
         for o in outcomes:
             assert o.probability == pytest.approx(0.25, abs=1e-12)
@@ -291,41 +285,33 @@ def test_conditional_amplitudes_match_the_outcome_table():
 
 def test_moderate_squeezing_matches_the_closed_form():
     params = SqueezeParams.from_tanh(0.5)
-    outcomes = run_protocol(
-        ProtocolConfig(params=params, input=DualRailQubit(S, S), n_max_bob=25)
-    )
+    outcomes = run_protocol(params, DualRailQubit(S, S), 25).outcomes
     for o in outcomes:
         assert o.fidelity == pytest.approx(27.0 / 64.0, abs=1e-6)
 
 
 def test_unit_radius_point_matches_the_closed_form():
     params = squeeze_param(0.5, 1.0)
-    config = ProtocolConfig(
-        params=params, input=DualRailQubit(1.0, 0.0), n_max_bob=required_cutoff(params, 1e-10)
-    )
-    outcomes = run_protocol(config)
+    run = run_protocol(params, DualRailQubit(1.0, 0.0), required_cutoff(params, 1e-10))
     expected = (1.0 - math.exp(-2.0 * math.pi)) ** 3
-    assert average_fidelity(outcomes) == pytest.approx(expected, abs=1e-6)
+    assert run.fidelity == pytest.approx(expected, abs=1e-6)
 
 
 def test_outcomes_are_equivalent_after_correction():
     params = SqueezeParams.from_tanh(0.5)
-    outcomes = run_protocol(
-        ProtocolConfig(params=params, input=make_qubit(0.3 + 0.4j, 0.5 - 0.7j), n_max_bob=19)
-    )
+    outcomes = run_protocol(params, make_qubit(0.3 + 0.4j, 0.5 - 0.7j), 19).outcomes
     fidelities = [o.fidelity for o in outcomes]
     assert max(fidelities) - min(fidelities) <= 1e-8
     probabilities = [o.probability for o in outcomes]
     assert max(probabilities) - min(probabilities) <= 1e-8
 
 
-def _eight_mode_protocol(config):
+def _eight_mode_protocol(params, qubit, n_max):
     """The protocol on the full eight-mode input-resource state: project
     each Bell outcome, apply the correction matrix to the region-I axes,
     reduce to region I and read <phi| rho_I |phi>."""
-    qubit, n_max = config.input, config.n_max_bob
     d = n_max + 1
-    full = tensor(input_state(qubit), bell_resource(config.params, resource_layout(n_max), n_max))
+    full = tensor(input_state(qubit), bell_resource(params, resource_layout(n_max), n_max))
     basis = bell_basis()
     pair = ModeLayout.uniform(("B1I", "B2I"), n_max)
     phi = qubit.alpha * basis_state(pair, (1, 0)) + qubit.beta * basis_state(pair, (0, 1))
@@ -350,13 +336,9 @@ def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
     rng = np.random.default_rng(1000 * n_max + int(10 * tanh_r))
     for _ in range(3):
         raw = rng.normal(size=4)
-        config = ProtocolConfig(
-            params=params,
-            input=make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]),
-            n_max_bob=n_max,
-        )
+        qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
         for outcome, (label, probability, fidelity, flags) in zip(
-            run_protocol(config), _eight_mode_protocol(config)
+            run_protocol(params, qubit, n_max).outcomes, _eight_mode_protocol(params, qubit, n_max)
         ):
             assert outcome.label == label
             assert outcome.flags == flags
@@ -372,18 +354,17 @@ def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
 def test_sector_route_matches_the_dense_oracle(tanh_r, cutoffs):
     params = SqueezeParams.from_tanh(tanh_r)
     for n_max in cutoffs:
-        config = ProtocolConfig(
-            params=params, input=_seeded_qubit(100 * n_max + int(10 * tanh_r)), n_max_bob=n_max
-        )
-        dense_outcomes, dense_weight = dense_protocol(config)
+        qubit = _seeded_qubit(100 * n_max + int(10 * tanh_r))
+        dense_outcomes, dense_weight = dense_protocol(params, qubit, n_max)
         for outcome, (label, probability, fidelity, flags) in zip(
-            run_protocol(config), dense_outcomes, strict=True
+            run_protocol(params, qubit, n_max).outcomes, dense_outcomes, strict=True
         ):
             assert (outcome.label, outcome.flags) == (label, flags), n_max
             assert outcome.probability == pytest.approx(probability, abs=1e-12), n_max
             assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), n_max
-        measured, _ = premeasure_weight(config)
-        assert measured == pytest.approx(dense_weight, abs=1e-12), n_max
+        # Bob's single-excitation weight before the measurement is sech^6 r
+        # at every cutoff: it sits on region-II occupation 0 of both rails
+        assert dense_weight == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0), n_max
 
 
 @pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 1)])
@@ -392,12 +373,10 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
     # 190 TB, and an (n_max + 1)^2 grid per branch would peak at 0.1 MB and
     # 98 MB, so the limits hold a run to O(n_max)
     params = SqueezeParams.from_tanh(tanh_r)
-    config = ProtocolConfig(
-        params=params, input=_seeded_qubit(3), n_max_bob=required_cutoff(params, 1e-10)
-    )
+    n_max = required_cutoff(params, 1e-10)
     tracemalloc.start()
     try:
-        run_protocol(config)
+        run_protocol(params, _seeded_qubit(3), n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,12 +385,9 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
 
 def test_memory_preflight_bounds_the_measured_peak():
     n_max = 10**6
-    config = ProtocolConfig(
-        params=SqueezeParams.from_tanh(0.99999), input=_seeded_qubit(5), n_max_bob=n_max
-    )
     tracemalloc.start()
     try:
-        run_protocol(config)
+        run_protocol(SqueezeParams.from_tanh(0.99999), _seeded_qubit(5), n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,12 +397,8 @@ def test_memory_preflight_bounds_the_measured_peak():
 def test_cutoff_beyond_physical_memory_is_refused_before_allocation():
     # 64 (10^12 + 1) bytes is 64 TB: without the preflight the first
     # Schmidt vector (8 TB) fails in malloc
-    config = ProtocolConfig(
-        params=SqueezeParams.from_tanh(0.5), input=DualRailQubit(1.0, 0.0), n_max_bob=10**12
-    )
-    for run in (run_protocol, premeasure_weight):
-        with pytest.raises(ValueError, match="physical memory"):
-            run(config)
+    with pytest.raises(ValueError, match="physical memory"):
+        run_protocol(SqueezeParams.from_tanh(0.5), DualRailQubit(1.0, 0.0), 10**12)
 
 
 def test_truncation_error_is_nonincreasing_in_the_cutoff():
@@ -435,10 +407,8 @@ def test_truncation_error_is_nonincreasing_in_the_cutoff():
         target = fidelity_analytic(params)
         errors = []
         for n_max in (5, 10, 15, 20, 25, 30):
-            outcomes = run_protocol(
-                ProtocolConfig(params=params, input=DualRailQubit(S, S), n_max_bob=n_max)
-            )
-            errors.append(abs(average_fidelity(outcomes) - target))
+            run = run_protocol(params, DualRailQubit(S, S), n_max)
+            errors.append(abs(run.fidelity - target))
         for previous, current in zip(errors, errors[1:]):
             assert current <= previous + 1e-12, (t, errors)
 
@@ -450,36 +420,42 @@ def test_fidelity_is_input_independent():
     for _ in range(50):
         raw = rng.normal(size=4)
         qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-        outcomes = run_protocol(
-            ProtocolConfig(params=params, input=qubit, n_max_bob=11)
-        )
-        values.append(average_fidelity(outcomes))
+        values.append(run_protocol(params, qubit, 11).fidelity)
     assert max(values) - min(values) <= 1e-6
 
 
 def test_probabilities_complete_up_to_truncation_loss():
     params = SqueezeParams.from_tanh(0.5)
     for n_max in (6, 12):
-        outcomes = run_protocol(
-            ProtocolConfig(params=params, input=DualRailQubit(0.6, 0.8), n_max_bob=n_max)
-        )
+        outcomes = run_protocol(params, DualRailQubit(0.6, 0.8), n_max).outcomes
         loss = 1.0 - (1.0 - zero_tail(params, n_max)) * (1.0 - one_tail(params, n_max))
         total = sum(o.probability for o in outcomes)
         assert total + loss == pytest.approx(1.0, abs=1e-10)
 
 
+# squeezing drawn two ways: tanh r up to 0.999 through from_tanh, and (M,
+# Omega) log-uniform over [1e-2, 1e2]^2 (M Omega >= 1e-4, tanh r <= 0.99938),
+# whose tanh r carries the rounding of a generic exp(-2 pi M Omega)
+_SQUEEZINGS = st.one_of(
+    st.floats(0.0, 0.999).map(SqueezeParams.from_tanh),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+        lambda exponents: squeeze_param(10.0 ** exponents[0], 10.0 ** exponents[1])
+    ),
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(
-    tanh_r=st.floats(0.0, 0.999),
+    params=_SQUEEZINGS,
     n_max=st.integers(1, 2000),
     theta=st.floats(0.0, math.pi),
     phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
 )
-@example(tanh_r=0.999, n_max=1, theta=1.0, phases=(0.5, 2.0))
-def test_every_outcome_has_the_predicted_probability_and_fidelity(tanh_r, n_max, theta, phases):
+@example(params=SqueezeParams.from_tanh(0.999), n_max=1, theta=1.0, phases=(0.5, 2.0))
+@example(params=squeeze_param(0.01, 0.01), n_max=2000, theta=1.0, phases=(0.5, 2.0))
+def test_every_outcome_has_the_predicted_probability_and_fidelity(params, n_max, theta, phases):
     # each outcome carries a quarter of the kept weight, and its fidelity,
     # scaled by that weight, is the closed form, for any input qubit
-    params = SqueezeParams.from_tanh(tanh_r)
     qubit = DualRailQubit(
         math.cos(theta / 2) * complex(math.cos(phases[0]), math.sin(phases[0])),
         math.sin(theta / 2) * complex(math.cos(phases[1]), math.sin(phases[1])),
@@ -487,26 +463,34 @@ def test_every_outcome_has_the_predicted_probability_and_fidelity(tanh_r, n_max,
     kept = 1.0 - dual_rail_tail(params, n_max)
     # the same weight as the product of the two rails' partial Schmidt sums,
     # (1 - x) sum_{m <= n_max} x^m and (1 - x)^2 sum_{m < n_max} (m + 1) x^m
-    # with x = tanh^2 r: 1 - dual_rail_tail cancels to about 1e-9 relative
-    # when little is kept (tanh r 0.999 at cutoff 1 keeps 1.6e-8)
-    x, m = params.tanh_r**2, np.arange(n_max)
-    kept_sums = params.sech2_r**3 * float(np.sum(x ** np.arange(n_max + 1))) * float(
-        np.sum((m + 1) * x**m)
-    )
+    # with x^m = exp(-4 pi M Omega m): 1 - dual_rail_tail cancels to about
+    # 1e-9 relative when little is kept (tanh r 0.999 at cutoff 1 keeps 1.6e-8)
+    powers = np.exp(-4.0 * math.pi * params.mass * params.frequency * np.arange(n_max + 1))
+    m = np.arange(n_max)
+    kept_sums = params.sech2_r**3 * float(np.sum(powers)) * float(np.sum((m + 1) * powers[:-1]))
     target = fidelity_analytic(params)
-    outcomes = run_protocol(ProtocolConfig(params=params, input=qubit, n_max_bob=n_max))
-    for o in outcomes:
+    for o in run_protocol(params, qubit, n_max).outcomes:
         assert o.flags == ()
         assert o.probability == pytest.approx(kept / 4, abs=1e-13)
         assert o.fidelity * kept_sums == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
+def test_generic_point_keeps_the_predicted_weight():
+    # a generic (M, Omega) from the default surface at the cutoff that
+    # required_cutoff picks for 1e-10: powers of the rounded tanh r drift
+    # by about 611246 ulps there and lose 4.5e-12 more than the tail
+    params = squeeze_param(channel.radius_to_mass(1e-4), 0.068664884500430012)
+    n_max = 611246
+    assert required_cutoff(params, 1e-10, hard_cap=10**6) == n_max
+    expected = (1.0 - dual_rail_tail(params, n_max)) / 4
+    for o in run_protocol(params, DualRailQubit(S, S), n_max).outcomes:
+        assert o.probability == pytest.approx(expected, rel=1e-13, abs=0.0), o.label
+
+
 def test_reported_values_stay_in_bounds():
     for t, n_max in ((0.3, 8), (0.7, 12)):
         params = SqueezeParams.from_tanh(t)
-        outcomes = run_protocol(
-            ProtocolConfig(params=params, input=DualRailQubit(1.0, 0.0), n_max_bob=n_max)
-        )
+        outcomes = run_protocol(params, DualRailQubit(1.0, 0.0), n_max).outcomes
         for o in outcomes:
             assert 0.0 <= o.probability <= 1.0
             assert 0.0 <= o.fidelity <= 1.0 + 1e-12
@@ -522,29 +506,25 @@ def test_degenerate_outcomes_are_flagged_not_divided():
     assert outcome.probability == 0.0
     assert DEGENERATE_PROBABILITY == 1e-14
 
-    with pytest.raises(ValueError):
-        average_fidelity([outcome])
+    with pytest.raises(ValueError, match="cutoff truncates"):
+        teleport._average_fidelity([outcome])
 
 
 def test_average_fidelity_weights_by_probability():
     a = teleport.TeleportOutcome("00", 0.2, 0.5)
     b = teleport.TeleportOutcome("01", 0.6, 1.0)
     degenerate = teleport._degenerate_outcome("10", 0.0)
-    assert average_fidelity([a, b, degenerate]) == pytest.approx(0.875)
+    assert teleport._average_fidelity([a, b, degenerate]) == pytest.approx(0.875)
 
 
 def test_premeasure_weight_flat_and_squeezed():
-    measured, claimed = premeasure_weight(
-        ProtocolConfig(params=FLAT, input=DualRailQubit(1.0, 0.0), n_max_bob=1)
-    )
+    # the oracle's single-excitation weight of Bob's region-I pair before
+    # the measurement is the closed form sech^6 r
+    _, measured = dense_protocol(FLAT, DualRailQubit(1.0, 0.0), 1)
     assert measured == pytest.approx(1.0, abs=1e-12)
-    assert claimed == 1.0
+    assert fidelity_analytic(FLAT) == 1.0
 
-    config = ProtocolConfig(
-        params=SqueezeParams.from_tanh(0.5), input=DualRailQubit(S, S), n_max_bob=25
-    )
-    measured, claimed = premeasure_weight(config)
-    assert claimed == pytest.approx(27.0 / 64.0, abs=1e-12)
-    assert 0.0 <= measured <= 1.0
-    # diagnostic comparison only; equality is deliberately not asserted
-    print(f"single-excitation weight: measured={measured!r} claimed={claimed!r}")
+    params = SqueezeParams.from_tanh(0.5)
+    _, measured = dense_protocol(params, DualRailQubit(S, S), 25)
+    assert fidelity_analytic(params) == pytest.approx(27.0 / 64.0, abs=1e-12)
+    assert measured == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0)
