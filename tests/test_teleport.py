@@ -78,7 +78,7 @@ def test_dual_rail_qubit_validation_and_state():
     assert state.amplitudes[state.layout.flat_index((0, 1))] == 0.8j
 
 
-def test_run_protocol_validation():
+def test_protocol_config_validation():
     qubit = DualRailQubit(1.0, 0.0)
     params = SqueezeParams.from_tanh(0.5)
     for bad in (0, -1):
