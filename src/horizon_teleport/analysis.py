@@ -86,9 +86,10 @@ DEFAULT_GRID = SweepGrid()
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point.  mass = radius / 2 always; the numeric fields are
-    None where the point was not simulated (analytic mode, capped cutoff,
-    or divergent squeezing, the latter flagged with fidelity 0)."""
+    """One grid point; its fields, in order, are the columns the CLI writes.
+    mass = radius / 2 always; the numeric fields are None where the point
+    was not simulated (analytic mode, capped cutoff, or divergent
+    squeezing, the latter flagged with fidelity 0)."""
 
     radius: float
     omega: float
@@ -96,7 +97,7 @@ class SweepRecord:
     r_squeeze: float | None
     fidelity_analytic: float
     fidelity_numeric: float | None = None
-    n_max_used: int | None = None
+    n_max: int | None = None
     truncation_loss: float | None = None
     flags: tuple[str, ...] = ()
 
@@ -143,7 +144,7 @@ def _evaluate_point(
         params.r_squeeze,
         analytic,
         fidelity_numeric=run.fidelity,
-        n_max_used=n_max,
+        n_max=n_max,
         truncation_loss=run.loss,
     )
 
@@ -151,7 +152,7 @@ def _evaluate_point(
 def sweep(
     grid: SweepGrid,
     mode: str = "analytic-only",
-    epsilon: float = 1e-10,
+    epsilon: float = channel.EPSILON_DEFAULT,
     max_cutoff: int = channel.CUTOFF_CAP,
     workers: int | None = None,
 ) -> list[SweepRecord]:
@@ -202,13 +203,12 @@ def convergence_report(
     the lost tail weight shrinks geometrically with the cutoff.  Both the
     simulation and the closed form read ``params`` as given, so the error
     is measured against the same ``fidelity_analytic`` that the
-    ``fidelity`` command prints for the point.
+    ``fidelity`` command prints for the point.  The smallest cutoff runs
+    first, so ``run_protocol`` refuses one below 1 before any other work.
     """
     cutoffs = [int(c) for c in cutoffs]
     if not cutoffs:
         raise ValueError("cutoff list must not be empty")
-    if any(c < 1 for c in cutoffs):
-        raise ValueError(f"cutoffs must be >= 1, got {cutoffs}")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly ascending, got {cutoffs}")
 

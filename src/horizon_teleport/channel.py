@@ -38,12 +38,15 @@ __all__ = [
     "radius_to_mass",
     "required_cutoff",
     "check_budget",
+    "EPSILON_DEFAULT",
     "EPSILON_MAX",
     "CUTOFF_CAP",
 ]
 
-# the truncation budget: epsilon lies in (0, EPSILON_MAX], and no cutoff
-# above the cap is chosen; 10^5 levels hold about 6.4 MB of Bob's state
+# the truncation budget: epsilon lies in (0, EPSILON_MAX], EPSILON_DEFAULT
+# unless a caller gives one, and no cutoff above the cap is chosen; 10^5
+# levels hold about 6.4 MB of Bob's state
+EPSILON_DEFAULT = 1e-10
 EPSILON_MAX = 0.1
 CUTOFF_CAP = 100000
 

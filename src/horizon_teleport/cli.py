@@ -6,16 +6,20 @@ compares, ``sweep`` writes the fidelity surface over a (radius, omega)
 grid, and ``converge`` tabulates simulation error against the cutoff.
 
 ``simulate`` and simulated ``sweep`` points run at the cutoff
-``channel.required_cutoff`` picks for ``--epsilon``, under ``--max-cutoff``
+``channel.required_cutoff`` picks for ``--epsilon``
+(``channel.EPSILON_DEFAULT`` by default), under ``--max-cutoff``
 (``channel.CUTOFF_CAP`` by default); ``channel.check_budget`` holds both to
 their range.  ``simulate`` prints the outcomes, fidelity and loss of one
-``teleport.run_protocol`` call.
+``teleport.run_protocol`` call.  The sweep's grid flags and their defaults
+come from ``analysis.DEFAULT_GRID``.  Every command prints through one
+writer, ``_write_rows``: a row is a record's dataclass fields (``SweepRecord``,
+``TeleportOutcome``), its flags joined by ";", so the field names are both
+the CSV columns and the JSON keys.
 
 Exit codes: 0 success, 1 validation failure (including a cutoff whose run
 would not fit in physical memory), 2 divergent squeezing, 3 infeasible
-cutoff.  Output formats are deterministic byte for byte:
-floats carry 17 significant digits, lines end with LF, and the CSV and
-JSON writers expose identical field names.  ``HORIZON_TELEPORT_THREADS``
+cutoff.  Output formats are deterministic byte for byte: floats carry 17
+significant digits and lines end with LF.  ``HORIZON_TELEPORT_THREADS``
 sets how many threads a sweep uses (0 or unset: one, the calling thread);
 the output does not depend on the thread count.
 """
@@ -23,7 +27,9 @@ the output does not depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -34,17 +40,7 @@ from . import analysis, channel, teleport
 
 __all__ = ["main", "entry", "SWEEP_COLUMNS", "CONVERGE_COLUMNS"]
 
-SWEEP_COLUMNS = (
-    "radius",
-    "omega",
-    "mass",
-    "r_squeeze",
-    "fidelity_analytic",
-    "fidelity_numeric",
-    "n_max",
-    "truncation_loss",
-    "flags",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(analysis.SweepRecord))
 
 CONVERGE_COLUMNS = ("n_max", "abs_error", "truncation_loss")
 
@@ -71,48 +67,40 @@ class _ExitOneParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _g(value: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    return "%.17g" % value
+def _write_rows(rows: list[dict], fh, fmt: str, summary: dict | None = None) -> None:
+    """Write ``rows``, dicts keyed by column (a record's ``vars``), as CSV
+    or as a JSON list.
 
-
-def _record_cells(rec: analysis.SweepRecord) -> list[str]:
-    return [
-        _g(rec.radius),
-        _g(rec.omega),
-        _g(rec.mass),
-        "" if rec.r_squeeze is None else _g(rec.r_squeeze),
-        _g(rec.fidelity_analytic),
-        "" if rec.fidelity_numeric is None else _g(rec.fidelity_numeric),
-        "" if rec.n_max_used is None else str(rec.n_max_used),
-        "" if rec.truncation_loss is None else _g(rec.truncation_loss),
-        ";".join(rec.flags),
-    ]
-
-
-def _record_json(rec: analysis.SweepRecord) -> dict:
-    return {
-        "radius": rec.radius,
-        "omega": rec.omega,
-        "mass": rec.mass,
-        "r_squeeze": rec.r_squeeze,
-        "fidelity_analytic": rec.fidelity_analytic,
-        "fidelity_numeric": rec.fidelity_numeric,
-        "n_max": rec.n_max_used,
-        "truncation_loss": rec.truncation_loss,
-        "flags": ";".join(rec.flags),
-    }
-
-
-def _write_records(records: list[analysis.SweepRecord], fh, fmt: str) -> None:
-    if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for rec in records:
-            writer.writerow(_record_cells(rec))
-    else:
-        json.dump([_record_json(r) for r in records], fh, indent=2)
+    A tuple value, a record's flags, prints joined by ";".  CSV takes its
+    header from the first row's keys, prints floats with 17 significant
+    digits (enough to round-trip any double) and None as an empty cell, and
+    follows the rows with one ``# key=value`` line per ``summary`` item.
+    JSON nests the rows under "outcomes" beside the ``summary`` keys.
+    """
+    if fmt == "json":
+        rows = [{k: ";".join(v) if isinstance(v, tuple) else v for k, v in row.items()} for row in rows]
+        json.dump(rows if summary is None else {"outcomes": rows, **summary}, fh, indent=2)
         fh.write("\n")
+        return
+
+    # a sweep repeats its grid coordinates, so each float is formatted once;
+    # zero is not cached, as 0.0 and -0.0 are one key but print apart
+    text = {}
+
+    def cells(values):
+        return [
+            (text.get(v) or text.setdefault(v, "%.17g" % v) if v else "%.17g" % v)
+            if isinstance(v, float)
+            else "" if v is None else ";".join(v) if isinstance(v, tuple) else v
+            for v in values
+        ]
+
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows(cells(row.values()) for row in rows)
+    if summary:
+        for key, cell in zip(summary, cells(summary.values())):
+            fh.write(f"# {key}={cell}\n")
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -141,7 +129,7 @@ def _cmd_fidelity(args) -> int:
         r_squeeze=params.r_squeeze,
         fidelity_analytic=teleport.fidelity_analytic(params),
     )
-    _write_records([record], sys.stdout, args.format)
+    _write_rows([vars(record)], sys.stdout, args.format)
     return 0
 
 
@@ -164,38 +152,13 @@ def _cmd_simulate(args) -> int:
     n_max = channel.required_cutoff(params, args.epsilon, hard_cap=args.max_cutoff)
     outcomes, fidelity, loss = teleport.run_protocol(params, qubit, n_max)
     analytic = teleport.fidelity_analytic(params)
-    deviation = abs(fidelity - analytic)
-
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("label", "probability", "fidelity", "flags"))
-        for o in outcomes:
-            writer.writerow((o.label, _g(o.probability), _g(o.fidelity), ";".join(o.flags)))
-        sys.stdout.write(f"# fidelity_analytic={_g(analytic)}\n")
-        sys.stdout.write(f"# abs_deviation={_g(deviation)}\n")
-        sys.stdout.write(f"# n_max={n_max}\n")
-        sys.stdout.write(f"# truncation_loss={_g(loss)}\n")
-    else:
-        json.dump(
-            {
-                "outcomes": [
-                    {
-                        "label": o.label,
-                        "probability": o.probability,
-                        "fidelity": o.fidelity,
-                        "flags": ";".join(o.flags),
-                    }
-                    for o in outcomes
-                ],
-                "fidelity_analytic": analytic,
-                "abs_deviation": deviation,
-                "n_max": n_max,
-                "truncation_loss": loss,
-            },
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
+    summary = {
+        "fidelity_analytic": analytic,
+        "abs_deviation": abs(fidelity - analytic),
+        "n_max": n_max,
+        "truncation_loss": loss,
+    }
+    _write_rows([vars(o) for o in outcomes], sys.stdout, args.format, summary)
     return 0
 
 
@@ -214,14 +177,7 @@ def _sweep_workers() -> int | None:
 
 def _cmd_sweep(args) -> int:
     grid = analysis.SweepGrid(
-        radius_min=args.radius_min,
-        radius_max=args.radius_max,
-        omega_min=args.omega_min,
-        omega_max=args.omega_max,
-        radius_steps=args.radius_steps,
-        omega_steps=args.omega_steps,
-        radius_scale=args.radius_scale,
-        omega_scale=args.omega_scale,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(analysis.SweepGrid)}
     )
     records = analysis.sweep(
         grid,
@@ -231,7 +187,7 @@ def _cmd_sweep(args) -> int:
         workers=_sweep_workers(),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_records(records, fh, args.format)
+        _write_rows([vars(r) for r in records], fh, args.format)
     return 0
 
 
@@ -239,8 +195,6 @@ def _cmd_converge(args) -> int:
     if args.tanh_r is not None:
         if args.mass is not None or args.omega is not None:
             raise ValueError("give either --tanh-r or --mass with --omega, not both")
-        if not 0.0 <= args.tanh_r < 1.0:
-            raise ValueError(f"--tanh-r must lie in [0, 1), got {args.tanh_r!r}")
         params = channel.SqueezeParams.from_tanh(args.tanh_r)
     else:
         if args.mass is None or args.omega is None:
@@ -250,17 +204,11 @@ def _cmd_converge(args) -> int:
         params = channel.squeeze_param(mass, omega)
 
     cutoffs = [int(piece) for piece in args.cutoffs.split(",") if piece.strip()]
-    rows = analysis.convergence_report(params, cutoffs)
-
-    fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CONVERGE_COLUMNS)
-        for n_max, abs_error, loss in rows:
-            writer.writerow((str(n_max), _g(abs_error), _g(loss)))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    report = analysis.convergence_report(params, cutoffs)
+    rows = [dict(zip(CONVERGE_COLUMNS, row)) for row in report]
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        _write_rows(rows, fh, "csv")
     return 0
 
 
@@ -297,21 +245,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-im", type=float, default=0.0, help="Im alpha of the input qubit")
     p.add_argument("--beta-re", type=float, default=0.0, help="Re beta of the input qubit")
     p.add_argument("--beta-im", type=float, default=0.0, help="Im beta of the input qubit")
-    p.add_argument("--epsilon", type=float, default=1e-10, help="truncation tail budget")
+    p.add_argument("--epsilon", type=float, default=channel.EPSILON_DEFAULT, help="truncation tail budget")
     p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="hard cap on the Fock cutoff")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p = add("sweep", "fidelity surface over a (radius, omega) grid", _cmd_sweep)
-    p.add_argument("--radius-min", type=float, default=1e-4, help="smallest horizon radius")
-    p.add_argument("--radius-max", type=float, default=1.0, help="largest horizon radius")
-    p.add_argument("--radius-steps", type=int, default=50, help="grid points along radius")
-    p.add_argument("--radius-scale", choices=analysis._SCALES, default="log", help="radius axis spacing")
-    p.add_argument("--omega-min", type=float, default=1e-3, help="smallest frequency")
-    p.add_argument("--omega-max", type=float, default=1.0, help="largest frequency")
-    p.add_argument("--omega-steps", type=int, default=50, help="grid points along omega")
-    p.add_argument("--omega-scale", choices=analysis._SCALES, default="log", help="omega axis spacing")
+    for axis, noun in (("radius", "horizon radius"), ("omega", "frequency")):
+        for key, help_text in (
+            ("min", f"smallest {noun}"),
+            ("max", f"largest {noun}"),
+            ("steps", f"grid points along {axis}"),
+            ("scale", f"{axis} axis spacing"),
+        ):
+            default = getattr(analysis.DEFAULT_GRID, f"{axis}_{key}")
+            choices = analysis._SCALES if key == "scale" else None
+            p.add_argument(
+                f"--{axis}-{key}", type=type(default), choices=choices, default=default, help=help_text
+            )
     p.add_argument("--mode", choices=analysis.SWEEP_MODES, default="analytic-only", help="evaluation mode")
-    p.add_argument("--epsilon", type=float, default=1e-10, help="truncation tail budget")
+    p.add_argument("--epsilon", type=float, default=channel.EPSILON_DEFAULT, help="truncation tail budget")
     p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="cutoff cap for simulated points")
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")

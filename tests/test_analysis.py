@@ -107,7 +107,7 @@ def test_sweep_with_simulation_fills_numeric_fields():
     records = sweep(grid, mode="with-simulation", max_cutoff=40)
     for r in records:
         assert r.flags == ()
-        assert r.n_max_used is not None and r.n_max_used >= 1
+        assert r.n_max is not None and r.n_max >= 1
         assert r.truncation_loss is not None and 0.0 <= r.truncation_loss <= 1e-9
         assert abs(r.fidelity_numeric - r.fidelity_analytic) <= 1e-6
 
@@ -118,7 +118,7 @@ def test_sweep_flags_points_beyond_the_cutoff_cap():
     for r in records:
         assert r.flags == ("cutoff-capped",)
         assert r.fidelity_numeric is None
-        assert r.n_max_used is None
+        assert r.n_max is None
         assert r.fidelity_analytic > 0.0  # analytic value still recorded
 
 

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from horizon_teleport import cli
 from horizon_teleport.channel import squeeze_param
 from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
 from horizon_teleport.teleport import fidelity_analytic
+
+ROOT = Path(__file__).resolve().parent.parent
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -119,9 +123,9 @@ def test_simulate_matches_the_closed_form(capsys):
 
 
 def test_simulate_reported_loss_stays_within_epsilon(capsys):
-    # tanh r 0.99: the one-photon tail alone is within 1e-10 at cutoff 1310,
-    # where the run loses 1.02e-10
-    assert run_cli(["simulate", "--mass", "1", "--omega", "0.0016", "--max-cutoff", "2000"]) == 0
+    # tanh r 0.99: 1312 is the first cutoff whose dual-rail tail, the loss
+    # the run reports, is within the default budget 1e-10 (it loses 9.82e-11)
+    assert run_cli(["simulate", "--mass", "1", "--omega", "0.0016"]) == 0
     summary = parse_summary_comments(capsys.readouterr().out)
     assert summary["n_max"] == "1312"
     assert float(summary["truncation_loss"]) <= 1e-10
@@ -137,6 +141,28 @@ def test_simulate_json_format(capsys):
     }
     assert [o["label"] for o in data["outcomes"]] == ["00", "01", "10", "11"]
     assert data["abs_deviation"] <= 1e-6
+
+
+def test_simulate_csv_and_json_carry_identical_values(capsys):
+    args = ["simulate", "--mass", "1", "--omega", "0.11", "--alpha-re", "0.6", "--beta-im", "0.8"]
+    assert run_cli(args) == 0
+    text = capsys.readouterr().out
+    assert run_cli(args + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+
+    header, rows = parse_csv(text)
+    assert len(rows) == len(data["outcomes"]) == 4
+    for row, entry in zip(rows, data["outcomes"]):
+        assert list(entry) == header
+        record = dict(zip(header, row))
+        assert (record["label"], record["flags"]) == (entry["label"], entry["flags"])
+        for field in ("probability", "fidelity"):
+            assert float(record[field]) == entry[field]  # 17 digits round-trip exactly
+    summary = parse_summary_comments(text)
+    assert list(summary) == [key for key in data if key != "outcomes"]
+    assert int(summary["n_max"]) == data["n_max"]
+    for key in ("fidelity_analytic", "abs_deviation", "truncation_loss"):
+        assert float(summary[key]) == data[key]
 
 
 def test_simulate_validation_exit_codes(capsys):
@@ -351,6 +377,63 @@ def test_converge_validation_exit_codes(capsys):
 
 
 # ---------------------------------------------------------------- shared contract
+
+
+def test_csv_cells_follow_each_value_even_where_values_repeat():
+    # the writer formats each repeated float once; 0.0 and -0.0 compare
+    # equal yet print apart, None prints as an empty cell and flags joined
+    values = (0.0, -0.0, 0.0, 0.1, -0.0, 0.1, None, math.nan, 3)
+    out = io.StringIO()
+    cli._write_rows([{"x": v, "flags": ("a", "b")[: i % 3]} for i, v in enumerate(values)], out, "csv")
+    assert out.getvalue().split("\n") == [
+        "x,flags", "0,", "-0,a", "0,a;b", "0.10000000000000001,", "-0,a",
+        "0.10000000000000001,a;b", ",", "nan,a", "3,a;b", "",
+    ]
+
+
+def _readme_examples():
+    """(argv, expected lines) for each ``$ horizon-teleport`` example in the
+    README that prints to stdout; a continued command line ends in "\\"."""
+    examples = []
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    for block in blocks:
+        lines = block.strip("\n").split("\n")
+        while lines and lines[0].startswith("$ horizon-teleport "):
+            command = lines.pop(0)
+            while command.endswith("\\"):
+                command = command[:-1] + lines.pop(0)
+            printed = []
+            while lines and not lines[0].startswith("$ "):
+                printed.append(lines.pop(0))
+            argv = shlex.split(command)[2:]
+            if "--out" not in argv:
+                examples.append((argv, printed))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_the_stdout_examples():
+    assert sorted(argv[0] for argv, _ in README_EXAMPLES) == [
+        "converge", "converge", "fidelity", "simulate",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_prints_what_the_readme_shows(argv, expected, capsys):
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out.split("\n")
+    assert printed.pop() == ""  # every line ends in LF
+    if "..." in expected:  # it stands for printed lines left out of the README
+        cut = expected.index("...")
+        after = len(expected) - cut - 1
+        assert len(printed) >= len(expected) - 1
+        printed = printed[:cut] + printed[len(printed) - after:]
+        expected = expected[:cut] + expected[cut + 1:]
+    assert printed == expected
 
 
 def test_every_subcommand_help_lists_defaults(capsys):

@@ -3,7 +3,8 @@ package, the package never imports the tests, and only ``channel`` reads
 the tail weights, so that ``required_cutoff`` stays the one cutoff rule.
 One run path: the commands reach the protocol through one
 ``run_protocol`` call each, only ``teleport`` sums outcome probabilities,
-and only ``channel`` holds the truncation budget to its range."""
+and only ``channel`` holds the truncation budget to its range.  One row
+writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,25 @@ def test_only_the_channel_bounds_the_truncation_budget():
     }
     assert found.pop("channel")  # check_budget
     assert all(lines == [] for lines in found.values()), found
+
+
+def _writer_uses(node):
+    """Every ``csv.writer``, ``csv.DictWriter``, ``json.dump`` or
+    ``json.dumps`` read anywhere under ``node``."""
+    writers = {"csv.writer", "csv.DictWriter", "json.dump", "json.dumps"}
+    return sorted(
+        f"{sub.value.id}.{sub.attr}"
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and f"{sub.value.id}.{sub.attr}" in writers
+    )
+
+
+def test_the_cli_writes_rows_in_one_place():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    (write_rows,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_rows"
+    ]
+    assert _writer_uses(tree) == _writer_uses(write_rows) == ["csv.writer", "json.dump"]
