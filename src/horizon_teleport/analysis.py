@@ -177,11 +177,8 @@ def sweep(
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     channel.check_budget(epsilon, max_cutoff)
 
-    points = [
-        (float(radius), float(omega))
-        for radius in grid.radius_values()
-        for omega in grid.omega_values()
-    ]
+    omegas = grid.omega_values().tolist()
+    points = [(radius, omega) for radius in grid.radius_values().tolist() for omega in omegas]
 
     def evaluate(point: tuple[float, float]) -> SweepRecord:
         return _evaluate_point(point[0], point[1], mode, epsilon, max_cutoff)

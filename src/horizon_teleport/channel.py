@@ -8,6 +8,10 @@ interior (region II).  The squeezing strength follows
     tanh r = exp(-2 pi M Omega),    cosh r = (1 - exp(-4 pi M Omega))^(-1/2)
 
 in Planck units (the two formulas are consistent: 1 - tanh^2 = cosh^-2).
+This is the package's convention since its first version, a Boltzmann
+factor at T = 1/(4 pi M).  One line, ``SqueezeParams.decay`` = 2 pi M Omega,
+holds it, and every formula here, ``r_squeeze`` included, reads that
+exponent.
 
 This module maps (M, Omega) to squeezing parameters, gives the channel
 images of the single-mode vacuum and one-photon states in Schmidt form,
@@ -90,32 +94,34 @@ class SqueezeParams:
     r_squeeze: float = field(init=False)
 
     def __post_init__(self) -> None:
-        product = self.mass * self.frequency
-        if not product > 0.0:
-            raise DivergentSqueezing(product)
-        t = math.exp(-2.0 * math.pi * product)
-        if t >= 1.0:
-            raise DivergentSqueezing(product)
-        object.__setattr__(self, "r_squeeze", math.atanh(t))
+        t = self.tanh_r
+        if not t < 1.0:
+            raise DivergentSqueezing(self.mass * self.frequency)
+        # artanh t = ln((1 + t) / (1 - t)) / 2 with 1 - t = -expm1(-decay)
+        r = 0.5 * math.log1p(2.0 * t / -math.expm1(-self.decay))
+        object.__setattr__(self, "r_squeeze", r)
+
+    @property
+    def decay(self) -> float:
+        """-ln tanh r = 2 pi M Omega: the horizon law, stated here only.
+
+        Every formula reads tanh^n r as exp(-decay n), not as a power of
+        the rounded tanh r, which drifts by about n ulps."""
+        return 2.0 * math.pi * self.mass * self.frequency
 
     @property
     def tanh_r(self) -> float:
-        # the defining map, not a tanh(artanh(...)) round trip
-        return math.exp(-2.0 * math.pi * self.mass * self.frequency)
+        return math.exp(-self.decay)
 
     @property
     def sech2_r(self) -> float:
-        """1 - tanh^2 r = 1 / cosh^2 r, computed as -expm1(-4 pi M Omega)
-        so it keeps full relative precision as tanh r approaches 1."""
-        return -math.expm1(-4.0 * math.pi * self.mass * self.frequency)
+        """1 - tanh^2 r = 1 / cosh^2 r, computed as -expm1(-2 decay) so it
+        keeps full relative precision as tanh r approaches 1."""
+        return -math.expm1(-2.0 * self.decay)
 
     @property
     def cosh_r(self) -> float:
         return 1.0 / math.sqrt(self.sech2_r)
-
-    @property
-    def sinh_r(self) -> float:
-        return self.tanh_r * self.cosh_r
 
     @classmethod
     def from_tanh(cls, tanh_r: float) -> "SqueezeParams":
@@ -128,15 +134,8 @@ class SqueezeParams:
             raise ValueError(f"tanh r must lie in [0, 1), got {tanh_r!r}")
         if tanh_r == 0.0:
             return cls(mass=1.0, frequency=1e4)
-        frequency = -math.log(tanh_r) / (2.0 * math.pi)
+        frequency = -math.log(tanh_r) / (2.0 * math.pi)  # the inverse of decay
         return cls(mass=1.0, frequency=frequency)
-
-    @classmethod
-    def from_r(cls, r_squeeze: float) -> "SqueezeParams":
-        """Parameters with unit mass realizing the given squeezing r >= 0."""
-        if r_squeeze < 0.0:
-            raise ValueError(f"r must be nonnegative, got {r_squeeze!r}")
-        return cls.from_tanh(math.tanh(r_squeeze))
 
 
 def squeeze_param(mass: float, frequency: float) -> SqueezeParams:
@@ -160,11 +159,9 @@ def _schmidt_coefficients(
     The vacuum embedding puts tanh^m r / cosh r on |m, m>_(I, II) and the
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
-    tanh^m r is read as exp(-2 pi M Omega m), the decay constant of the
-    tails, not as a power of the rounded tanh r, which drifts by about m ulps.
     """
     m = np.arange(n_max + 1)
-    powers = np.exp(-2.0 * math.pi * params.mass * params.frequency * m)
+    powers = np.exp(-params.decay * m)
     zero = powers / params.cosh_r
     one = powers * np.sqrt(m + 1.0) * params.sech2_r
     one[n_max] = 0.0
@@ -174,10 +171,9 @@ def _schmidt_coefficients(
 def _tails(params: SqueezeParams):
     """Vacuum, one-photon and dual-rail tail weights as one function of the
     cutoff n: with x = tanh^2 r, x^(n+1), x^n (1 + n (1 - x)) and 1 - (1 -
-    zero)(1 - one).  x^n is read as exp(-4 pi M Omega n), good to a few ulps
-    where a power of the rounded x drifts by about n ulps, and the last is
-    summed as zero + one (1 - zero), which does not round to 0 below 1e-16."""
-    decay, sech2 = 4.0 * math.pi * params.mass * params.frequency, params.sech2_r
+    zero)(1 - one).  x^n is read as exp(-2 decay n), and the last is summed
+    as zero + one (1 - zero), which does not round to 0 below 1e-16."""
+    decay, sech2 = 2.0 * params.decay, params.sech2_r
 
     def tails(n: int) -> tuple[float, float, float]:
         zero = math.exp(-decay * (n + 1))

@@ -229,25 +229,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def geometry(p) -> None:
+        geom = p.add_mutually_exclusive_group(required=True)
+        geom.add_argument("--mass", type=float, help="black-hole mass M (Planck units)")
+        geom.add_argument("--radius", type=float, help="horizon radius r+ = 2M (Planck units)")
+        p.add_argument("--omega", type=float, required=True, help="mode frequency (Planck units)")
+
+    def budget(p, cap_help: str) -> None:
+        p.add_argument("--epsilon", type=float, default=channel.EPSILON_DEFAULT, help="truncation tail budget")
+        p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help=cap_help)
+
+    def output_format(p) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+
     p = add("fidelity", "closed-form fidelity at one parameter point", _cmd_fidelity)
-    geom = p.add_mutually_exclusive_group(required=True)
-    geom.add_argument("--mass", type=float, help="black-hole mass M (Planck units)")
-    geom.add_argument("--radius", type=float, help="horizon radius r+ = 2M (Planck units)")
-    p.add_argument("--omega", type=float, required=True, help="mode frequency (Planck units)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    geometry(p)
+    output_format(p)
 
     p = add("simulate", "protocol run vs the closed form", _cmd_simulate)
-    geom = p.add_mutually_exclusive_group(required=True)
-    geom.add_argument("--mass", type=float, help="black-hole mass M (Planck units)")
-    geom.add_argument("--radius", type=float, help="horizon radius r+ = 2M (Planck units)")
-    p.add_argument("--omega", type=float, required=True, help="mode frequency (Planck units)")
+    geometry(p)
     p.add_argument("--alpha-re", type=float, default=1.0, help="Re alpha of the input qubit")
     p.add_argument("--alpha-im", type=float, default=0.0, help="Im alpha of the input qubit")
     p.add_argument("--beta-re", type=float, default=0.0, help="Re beta of the input qubit")
     p.add_argument("--beta-im", type=float, default=0.0, help="Im beta of the input qubit")
-    p.add_argument("--epsilon", type=float, default=channel.EPSILON_DEFAULT, help="truncation tail budget")
-    p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="hard cap on the Fock cutoff")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    budget(p, "hard cap on the Fock cutoff")
+    output_format(p)
 
     p = add("sweep", "fidelity surface over a (radius, omega) grid", _cmd_sweep)
     for axis, noun in (("radius", "horizon radius"), ("omega", "frequency")):
@@ -263,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{axis}-{key}", type=type(default), choices=choices, default=default, help=help_text
             )
     p.add_argument("--mode", choices=analysis.SWEEP_MODES, default="analytic-only", help="evaluation mode")
-    p.add_argument("--epsilon", type=float, default=channel.EPSILON_DEFAULT, help="truncation tail budget")
-    p.add_argument("--max-cutoff", type=int, default=channel.CUTOFF_CAP, help="cutoff cap for simulated points")
+    budget(p, "cutoff cap for simulated points")
     p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    output_format(p)
 
     p = add("converge", "simulation error vs Fock cutoff", _cmd_converge)
     p.add_argument("--tanh-r", type=float, default=None, help="squeezing as tanh r in [0, 1)")
@@ -283,15 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except channel.DivergentSqueezing as exc:
+    except (channel.DivergentSqueezing, channel.CutoffInfeasible, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except channel.CutoffInfeasible as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return {channel.DivergentSqueezing: 2, channel.CutoffInfeasible: 3}.get(type(exc), 1)
 
 
 def entry() -> None:

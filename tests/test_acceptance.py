@@ -163,7 +163,7 @@ def test_thermal_occupation_matches_planck_law():
         rho = thermal_reduced(params, 60)
         occupations = np.arange(61)
         mean = float(np.sum(occupations * np.diag(rho.matrix).real))
-        sinh_sq = params.sinh_r**2
+        sinh_sq = (params.tanh_r * params.cosh_r) ** 2
         planck = 1.0 / (math.exp(4.0 * math.pi * product) - 1.0)
         worst = max(worst, abs(mean - sinh_sq), abs(mean - planck))
         assert mean == pytest.approx(sinh_sq, abs=1e-8)
@@ -175,7 +175,7 @@ def test_embedding_norms_and_orthogonality_across_the_squeezing_range():
     pair = RegionPair("I", "II")
     worst_overlap = 0.0
     for r in np.linspace(0.0, 3.0, 13):
-        params = SqueezeParams.from_r(float(r))
+        params = SqueezeParams.from_tanh(math.tanh(r))
         n_max = required_cutoff(params, 1e-12)
         zero, tail0 = embed_zero(params, pair, n_max)
         one, tail1 = embed_one(params, pair, n_max)

@@ -179,7 +179,7 @@ def test_sweep_validation():
 
 
 def test_convergence_report_flat_is_exact():
-    rows = convergence_report(SqueezeParams.from_r(0.0), [1, 2])
+    rows = convergence_report(SqueezeParams.from_tanh(0.0), [1, 2])
     assert [n for n, _, _ in rows] == [1, 2]
     for _, error, loss in rows:
         assert error <= 1e-12
@@ -219,7 +219,7 @@ def test_convergence_report_measures_against_the_given_closed_form(monkeypatch):
 
 
 def test_convergence_report_validation():
-    params = SqueezeParams.from_r(0.5)
+    params = SqueezeParams.from_tanh(math.tanh(0.5))
     with pytest.raises(ValueError):
         convergence_report(params, [])
     with pytest.raises(ValueError):
@@ -227,4 +227,4 @@ def test_convergence_report_validation():
     with pytest.raises(ValueError):
         convergence_report(params, [0, 5])
     with pytest.raises(ValueError):
-        convergence_report(SqueezeParams.from_r(-0.5), [5])
+        convergence_report(SqueezeParams.from_tanh(math.tanh(-0.5)), [5])

@@ -45,13 +45,17 @@ PI_60 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445
 
 @pytest.mark.parametrize("product", [1e-9, 1e-12, 1e-14])
 def test_closed_forms_keep_relative_precision_near_divergence(product):
-    # 1 - tanh^2 r = 1 - exp(-x), x = 4 pi M Omega, in 40-digit decimals
+    # 1 - tanh^2 r = 1 - exp(-x), x = 4 pi M Omega, and r = ln((1 + t) /
+    # (1 - t)) / 2, t = exp(-x / 2), in 40-digit decimals
     params = squeeze_param(1.0, product)
     with localcontext() as ctx:
         ctx.prec = 40
         sech2 = 1 - (-Decimal(4.0 * math.pi * product)).exp()
         fidelity = float(sech2**3)
         sech2 = float(sech2)
+        t = (-Decimal(2.0 * math.pi * product)).exp()
+        r_squeeze = float(((1 + t) / (1 - t)).ln() / 2)
+    assert params.r_squeeze == pytest.approx(r_squeeze, rel=1e-14, abs=0.0)
     assert abs(fidelity_analytic(params) / fidelity - 1.0) <= 1e-14
     assert abs(params.cosh_r**-2 / sech2 - 1.0) <= 1e-14
     weights = np.diag(thermal_reduced(params, 3).matrix).real
@@ -82,7 +86,7 @@ def test_squeeze_param_formula_consistency():
             (1 - math.exp(-4 * math.pi * product)) ** -0.5, rel=1e-10
         )
         # relative to cosh^2, the scale of the two cancelling terms
-        assert abs(p.cosh_r**2 - p.sinh_r**2 - 1.0) <= 1e-10 * p.cosh_r**2
+        assert abs(p.cosh_r**2 - (p.tanh_r * p.cosh_r) ** 2 - 1.0) <= 1e-10 * p.cosh_r**2
 
 
 def test_flat_limit_handled_without_error():
@@ -127,14 +131,11 @@ def test_radius_to_mass():
 def test_from_tanh_and_from_r():
     assert SqueezeParams.from_tanh(0.5).tanh_r == pytest.approx(0.5, abs=1e-15)
     assert SqueezeParams.from_tanh(0.0).r_squeeze == 0.0
-    assert SqueezeParams.from_r(0.7).r_squeeze == pytest.approx(0.7, rel=1e-12)
-    assert SqueezeParams.from_r(0.0).r_squeeze == 0.0
+    assert SqueezeParams.from_tanh(math.tanh(0.7)).r_squeeze == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(ValueError):
         SqueezeParams.from_tanh(1.0)
     with pytest.raises(ValueError):
         SqueezeParams.from_tanh(-0.1)
-    with pytest.raises(ValueError):
-        SqueezeParams.from_r(-1.0)
 
 
 def test_region_pair_labels_distinct():
@@ -238,7 +239,7 @@ def test_one_photon_embedding_matches_squeezed_creation_oracle():
 
     raised, _ = oracles.create(zero, "I")
     lowered, _ = oracles.annihilate(zero, "II")
-    candidate = params.cosh_r * raised + (-params.sinh_r) * lowered
+    candidate = params.cosh_r * raised + (-params.tanh_r * params.cosh_r) * lowered
     np.testing.assert_allclose(candidate.amplitudes, one.amplitudes, atol=1e-12)
 
 
@@ -297,7 +298,7 @@ def test_thermal_mean_photon_number():
     assert mean == pytest.approx(
         1.0 / (math.exp(4 * math.pi * 0.5) - 1.0), abs=1e-10
     )
-    assert mean == pytest.approx(params.sinh_r**2, abs=1e-10)
+    assert mean == pytest.approx((params.tanh_r * params.cosh_r) ** 2, abs=1e-10)
 
 
 def test_thermal_equals_traced_vacuum_embedding():

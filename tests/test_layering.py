@@ -4,7 +4,9 @@ the tail weights, so that ``required_cutoff`` stays the one cutoff rule.
 One run path: the commands reach the protocol through one
 ``run_protocol`` call each, only ``teleport`` sums outcome probabilities,
 and only ``channel`` holds the truncation budget to its range.  One row
-writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only."""
+writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only.
+One horizon law: only ``SqueezeParams.decay`` and its inverse
+``from_tanh`` read pi."""
 
 import ast
 from pathlib import Path
@@ -160,3 +162,26 @@ def test_the_cli_writes_rows_in_one_place():
         if isinstance(node, ast.FunctionDef) and node.name == "_write_rows"
     ]
     assert _writer_uses(tree) == _writer_uses(write_rows) == ["csv.writer", "json.dump"]
+
+
+def _scopes_reading_pi(node, scope):
+    """The qualified name of the function around each read of ``pi``
+    (``math.pi``, ``np.pi`` or a bare ``pi``) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scopes_reading_pi(child, f"{scope}.{child.name}")
+            continue
+        if getattr(child, "attr", None) == "pi" or getattr(child, "id", None) == "pi":
+            yield scope
+        yield from _scopes_reading_pi(child, scope)
+
+
+def test_the_horizon_law_is_stated_once():
+    # tanh r = exp(-2 pi M Omega) is SqueezeParams.decay and from_tanh its
+    # inverse; every other formula reads decay, so pi appears nowhere else
+    reads = sorted(
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _scopes_reading_pi(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    )
+    assert reads == ["channel.SqueezeParams.decay", "channel.SqueezeParams.from_tanh"]

@@ -243,7 +243,7 @@ def test_fidelity_analytic_examples():
         27.0 / 64.0, abs=1e-9
     )
     values = [
-        fidelity_analytic(SqueezeParams.from_r(r)) for r in np.linspace(0.0, 5.0, 21)
+        fidelity_analytic(SqueezeParams.from_tanh(math.tanh(r))) for r in np.linspace(0.0, 5.0, 21)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-10  # large squeezing wipes the fidelity out
