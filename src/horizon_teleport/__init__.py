@@ -24,7 +24,6 @@ from .channel import (
     SqueezeParams,
     radius_to_mass,
     required_cutoff,
-    squeeze_param,
 )
 from .teleport import (
     DualRailQubit,
@@ -48,7 +47,6 @@ __all__ = [
     "SqueezeParams",
     "radius_to_mass",
     "required_cutoff",
-    "squeeze_param",
     "DualRailQubit",
     "ProtocolRun",
     "TeleportOutcome",

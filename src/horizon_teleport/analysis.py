@@ -115,7 +115,7 @@ def _evaluate_point(
 ) -> SweepRecord:
     mass = channel.radius_to_mass(radius)
     try:
-        params = channel.squeeze_param(mass, omega)
+        params = channel.SqueezeParams(mass, omega)
     except channel.DivergentSqueezing:
         return SweepRecord(
             radius=radius,

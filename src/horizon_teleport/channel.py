@@ -38,7 +38,6 @@ __all__ = [
     "SqueezeParams",
     "DivergentSqueezing",
     "CutoffInfeasible",
-    "squeeze_param",
     "radius_to_mass",
     "required_cutoff",
     "check_budget",
@@ -136,11 +135,6 @@ class SqueezeParams:
             return cls(mass=1.0, frequency=1e4)
         frequency = -math.log(tanh_r) / (2.0 * math.pi)  # the inverse of decay
         return cls(mass=1.0, frequency=frequency)
-
-
-def squeeze_param(mass: float, frequency: float) -> SqueezeParams:
-    """Map (M, Omega) to the channel squeezing r = artanh(e^(-2 pi M Omega))."""
-    return SqueezeParams(mass=mass, frequency=frequency)
 
 
 def radius_to_mass(horizon_radius: float) -> float:

@@ -67,6 +67,15 @@ class _ExitOneParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends an option's default to its help, except when it has none."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _write_rows(rows: list[dict], fh, fmt: str, summary: dict | None = None) -> None:
     """Write ``rows``, dicts keyed by column (a record's ``vars``), as CSV
     or as a JSON list.
@@ -121,7 +130,7 @@ def _resolve_geometry(args) -> tuple[float, float]:
 def _cmd_fidelity(args) -> int:
     radius, mass = _resolve_geometry(args)
     omega = _require_positive(args.omega, "--omega")
-    params = channel.squeeze_param(mass, omega)
+    params = channel.SqueezeParams(mass, omega)
     record = analysis.SweepRecord(
         radius=radius,
         omega=omega,
@@ -148,7 +157,7 @@ def _cmd_simulate(args) -> int:
     scale = 1.0 / math.sqrt(norm_sq)
     qubit = teleport.DualRailQubit(alpha * scale, beta * scale)
 
-    params = channel.squeeze_param(mass, omega)
+    params = channel.SqueezeParams(mass, omega)
     n_max = channel.required_cutoff(params, args.epsilon, hard_cap=args.max_cutoff)
     outcomes, fidelity, loss = teleport.run_protocol(params, qubit, n_max)
     analytic = teleport.fidelity_analytic(params)
@@ -201,7 +210,7 @@ def _cmd_converge(args) -> int:
             raise ValueError("give either --tanh-r or both --mass and --omega")
         mass = _require_positive(args.mass, "--mass")
         omega = _require_positive(args.omega, "--omega")
-        params = channel.squeeze_param(mass, omega)
+        params = channel.SqueezeParams(mass, omega)
 
     cutoffs = [int(piece) for piece in args.cutoffs.split(",") if piece.strip()]
     report = analysis.convergence_report(params, cutoffs)
@@ -216,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ExitOneParser(
         prog="horizon-teleport",
         description="Dual-rail teleportation fidelity across a Schwarzschild horizon.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_DefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name,
             help=help_text,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            formatter_class=_DefaultsHelpFormatter,
         )
         p.set_defaults(func=func)
         return p

@@ -15,8 +15,7 @@ check on it:
   the package's logical ``BELL_TABLE``;
 - the channel embeddings on a named (region I, region II) mode pair:
   ``RegionPair``, ``embed_zero``, ``embed_one``, ``embed_dual_rail`` and
-  the thermal reduced state ``thermal_reduced``, each with its truncation
-  budget (``TruncationBudgetExceeded``);
+  the thermal reduced state ``thermal_reduced``;
 - the six-mode shared resource, ``resource_layout`` and ``bell_resource``;
 - ``dense_protocol``, the protocol run on that resource, and
   ``correction_matrix``, Bob's correction as a matrix on his region-I pair.
@@ -325,19 +324,18 @@ def create(state: FockVector, mode: str) -> tuple[FockVector, float]:
     return FockVector(state.layout, out.reshape(-1)), discarded
 
 
-def annihilate(state: FockVector, mode: str) -> tuple[FockVector, float]:
+def annihilate(state: FockVector, mode: str) -> FockVector:
     """Ladder lower a|n> = sqrt(n) |n-1> on one mode.
 
     The vacuum component maps to zero exactly; nothing leaves the truncated
-    space, so the reported discarded weight is always 0.0 (kept in the
-    return shape for symmetry with ``create``).
+    space, so unlike ``create`` there is no discarded weight to return.
     """
     t, k = _mode_axis_split(state, mode)
     d = t.shape[1]
     out = np.zeros_like(t)
     factors = np.sqrt(np.arange(1, d, dtype=np.float64))
     out[:, :-1, :] = t[:, 1:, :] * factors[None, :, None]
-    return FockVector(state.layout, out.reshape(-1)), 0.0
+    return FockVector(state.layout, out.reshape(-1))
 
 
 def tensor(a: FockVector, b: FockVector) -> FockVector:
@@ -460,15 +458,6 @@ def bell_basis() -> dict[str, FockVector]:
 # ---------------------------------------------------------------- channel embeddings
 
 
-class TruncationBudgetExceeded(Exception):
-    """The truncated tail weight is larger than the caller's budget."""
-
-    def __init__(self, tail: float, budget: float):
-        self.tail = float(tail)
-        self.budget = float(budget)
-        super().__init__(f"truncation tail {tail:.3e} exceeds budget {budget:.3e}")
-
-
 @dataclass(frozen=True)
 class RegionPair:
     """Mode labels for one field mode split across the horizon."""
@@ -492,22 +481,16 @@ def _pair_layout(pair: RegionPair, n_max: int) -> ModeLayout:
 
 
 def embed_zero(
-    params: SqueezeParams,
-    pair: RegionPair,
-    n_max: int,
-    epsilon_trunc: float | None = None,
+    params: SqueezeParams, pair: RegionPair, n_max: int
 ) -> tuple[FockVector, float]:
     """Horizon image of the Minkowski vacuum: a two-mode squeezed state.
 
     Returns the truncated sum over tanh^n r / cosh r |n>_I |n>_II together
     with the exact tail weight lost to the cutoff.  No renormalization is
-    applied; the tail is the caller's error budget, and exceeding
-    ``epsilon_trunc`` (when given) raises ``TruncationBudgetExceeded``.
+    applied.
     """
     layout = _pair_layout(pair, n_max)
     tail = zero_tail(params, n_max)
-    if epsilon_trunc is not None and tail > epsilon_trunc:
-        raise TruncationBudgetExceeded(tail, epsilon_trunc)
     coeff, _ = _schmidt_coefficients(params, n_max)
     n = np.arange(n_max + 1)
     amps = np.zeros(layout.dim, dtype=np.complex128)
@@ -516,10 +499,7 @@ def embed_zero(
 
 
 def embed_one(
-    params: SqueezeParams,
-    pair: RegionPair,
-    n_max: int,
-    epsilon_trunc: float | None = None,
+    params: SqueezeParams, pair: RegionPair, n_max: int
 ) -> tuple[FockVector, float]:
     """Horizon image of the one-photon state.
 
@@ -531,8 +511,6 @@ def embed_one(
     """
     layout = _pair_layout(pair, n_max)
     tail = one_tail(params, n_max)
-    if epsilon_trunc is not None and tail > epsilon_trunc:
-        raise TruncationBudgetExceeded(tail, epsilon_trunc)
     _, coeff = _schmidt_coefficients(params, n_max)
     n = np.arange(n_max)
     amps = np.zeros(layout.dim, dtype=np.complex128)
@@ -545,7 +523,6 @@ def embed_dual_rail(
     params: SqueezeParams,
     pairs: tuple[RegionPair, RegionPair],
     n_max: int,
-    epsilon_trunc: float | None = None,
 ) -> tuple[FockVector, float]:
     """Horizon image of a dual-rail qubit alpha |1,0> + beta |0,1>.
 
@@ -564,29 +541,20 @@ def embed_dual_rail(
     zero_2, _ = embed_zero(params, pair2, n_max)
     zero_1, _ = embed_zero(params, pair1, n_max)
     one_2, _ = embed_one(params, pair2, n_max)
-    loss = dual_rail_tail(params, n_max)
-    if epsilon_trunc is not None and loss > epsilon_trunc:
-        raise TruncationBudgetExceeded(loss, epsilon_trunc)
     vec = alpha * tensor(one_1, zero_2) + beta * tensor(zero_1, one_2)
-    return vec, loss
+    return vec, dual_rail_tail(params, n_max)
 
 
-def thermal_reduced(
-    params: SqueezeParams,
-    n_max: int,
-    mode: str = "I",
-    epsilon_trunc: float | None = None,
-) -> DensityOperator:
-    """Region-I reduction of the embedded vacuum: a thermal state.
+def thermal_reduced(params: SqueezeParams, n_max: int) -> DensityOperator:
+    """Region-I reduction of the embedded vacuum: a thermal state on the
+    one mode "I" at cutoff ``n_max``.
 
     Diagonal occupation weights tanh^(2n) r / cosh^2 r; the mean photon
     number tends to sinh^2 r as the cutoff grows.  The declared trace is
     the truncated sum 1 - tail, mirroring the unrenormalized embedding.
     """
     tail = zero_tail(params, n_max)
-    if epsilon_trunc is not None and tail > epsilon_trunc:
-        raise TruncationBudgetExceeded(tail, epsilon_trunc)
-    layout = ModeLayout((mode,), (n_max,))
+    layout = ModeLayout(("I",), (n_max,))
     n = np.arange(n_max + 1)
     weights = params.tanh_r ** (2 * n) * params.sech2_r
     return DensityOperator(
@@ -606,44 +574,27 @@ def resource_layout(n_max: int) -> ModeLayout:
     return ModeLayout(ALICE_ANCILLA + bob_modes, (1, 1) + (n_max,) * 4)
 
 
-def bell_resource(
-    params: SqueezeParams,
-    layout: ModeLayout,
-    n_max: int,
-    epsilon_trunc: float | None = None,
-) -> FockVector:
+def bell_resource(params: SqueezeParams, n_max: int) -> FockVector:
     """The shared entangled resource, Bob's half pushed through the channel.
 
     (|1,0>_A embed_dual_rail(|0L>) + |0,1>_A embed_dual_rail(|1L>)) / sqrt(2)
 
-    Positional layout contract: modes[0:2] are Alice's dual-rail ancilla at
-    cutoff 1, modes[2:4] and modes[4:6] are Bob's rails as (region I,
-    region II) pairs at cutoff ``n_max``.  At r = 0 this is the flat
-    dual-rail Bell state with region II in vacuum.  A truncation loss above
-    ``epsilon_trunc`` raises ``TruncationBudgetExceeded``.
+    on ``resource_layout(n_max)``: Alice's ancilla at cutoff 1, then Bob's
+    rails ``BOB_PAIRS`` at cutoff ``n_max``.  At r = 0 this is the flat
+    dual-rail Bell state with region II in vacuum.
 
     The state is dense, 4 (n_max + 1)^4 amplitudes.
     """
-    if layout.mode_count != 6:
-        raise ValueError("resource layout needs 6 modes (ancilla pair + two rails)")
-    if layout.cutoffs[:2] != (1, 1):
-        raise ValueError("Alice's ancilla modes must have cutoff 1")
-    if layout.cutoffs[2:] != (n_max,) * 4:
-        raise ValueError(f"Bob's modes must all have cutoff {n_max}")
-
-    pairs = (RegionPair(*layout.modes[2:4]), RegionPair(*layout.modes[4:6]))
     # each branch goes straight into its ancilla slice, |1,0>_A then |0,1>_A,
     # and is dropped before the next is built: the peak stays below twice
     # the result
     amplitudes = np.zeros((2, 2) + (n_max + 1,) * 4, dtype=np.complex128)
     for ancilla, logical in (((1, 0), (1.0, 0.0)), ((0, 1), (0.0, 1.0))):
-        branch, _ = embed_dual_rail(
-            DualRailQubit(*logical), params, pairs, n_max, epsilon_trunc
-        )
+        branch, _ = embed_dual_rail(DualRailQubit(*logical), params, BOB_PAIRS, n_max)
         amplitudes[ancilla] = branch.as_tensor()
         del branch
     amplitudes *= 1.0 / math.sqrt(2.0)
-    return FockVector(layout, amplitudes.reshape(-1))
+    return FockVector(resource_layout(n_max), amplitudes.reshape(-1))
 
 
 # ---------------------------------------------------------------- dense protocol
@@ -688,7 +639,7 @@ def dense_protocol(params, qubit, n_max):
     premeasure weight is the region-I weight of span{|1,0>, |0,1>}, read
     as the squared norm of the resource entries with those occupations.
     """
-    resource = bell_resource(params, resource_layout(n_max), n_max)
+    resource = bell_resource(params, n_max)
     basis = bell_basis()
     qubit_state = input_state(qubit)
 

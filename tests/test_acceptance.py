@@ -14,12 +14,7 @@ import pytest
 
 from horizon_teleport import cli
 from horizon_teleport.analysis import DEFAULT_GRID, sweep
-from horizon_teleport.channel import (
-    SqueezeParams,
-    dual_rail_tail,
-    required_cutoff,
-    squeeze_param,
-)
+from horizon_teleport.channel import SqueezeParams, dual_rail_tail, required_cutoff
 from horizon_teleport.teleport import DualRailQubit, fidelity_analytic, run_protocol
 from oracles import RegionPair, dense_protocol, embed_one, embed_zero, inner, thermal_reduced
 
@@ -113,7 +108,7 @@ def test_spot_fidelity_values():
     )
     assert numeric == pytest.approx(27.0 / 64.0, abs=1e-6)
 
-    unit_radius = squeeze_param(0.5, 1.0)
+    unit_radius = SqueezeParams(0.5, 1.0)
     expected = (1.0 - math.exp(-2.0 * math.pi)) ** 3
     assert closed_form(unit_radius.tanh_r) == pytest.approx(expected, abs=1e-9)
     print(
@@ -123,7 +118,7 @@ def test_spot_fidelity_values():
 
 
 def test_flat_space_limit_recovers_exact_teleportation():
-    params = squeeze_param(10.0, 10.0)  # huge M*Omega: r < 1e-100 but nonzero
+    params = SqueezeParams(10.0, 10.0)  # huge M*Omega: r < 1e-100 but nonzero
     assert 0.0 < params.r_squeeze < 1e-100
     outcomes = run_protocol(params, DualRailQubit(0.6, 0.8j), required_cutoff(params, 1e-10)).outcomes
     for outcome in outcomes:
@@ -159,7 +154,7 @@ def test_fidelity_surface_is_monotone_with_exact_corners():
 def test_thermal_occupation_matches_planck_law():
     worst = 0.0
     for product in (0.1, 0.25, 0.5):
-        params = squeeze_param(1.0, product)
+        params = SqueezeParams(1.0, product)
         rho = thermal_reduced(params, 60)
         occupations = np.arange(61)
         mean = float(np.sum(occupations * np.diag(rho.matrix).real))

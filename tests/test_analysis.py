@@ -12,7 +12,7 @@ from horizon_teleport.analysis import (
     convergence_report,
     sweep,
 )
-from horizon_teleport.channel import SqueezeParams, dual_rail_tail, squeeze_param
+from horizon_teleport.channel import SqueezeParams, dual_rail_tail
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -212,7 +212,7 @@ def test_convergence_report_measures_against_the_given_closed_form(monkeypatch):
     # at M Omega = 1e-7, 1 - tanh^2 r is 1.3e-6: rebuilding the parameters
     # from r moves the closed form by 1.7e-10 relative; a zero numeric
     # fidelity makes the error column the closed form itself
-    params = squeeze_param(1e-3, 1e-4)
+    params = SqueezeParams(1e-3, 1e-4)
     monkeypatch.setattr(teleport, "_average_fidelity", lambda outcomes: 0.0)
     rows = convergence_report(params, [1, 2])
     assert [error for _, error, _ in rows] == [teleport.fidelity_analytic(params)] * 2
@@ -226,5 +226,5 @@ def test_convergence_report_validation():
         convergence_report(params, [10, 5])
     with pytest.raises(ValueError):
         convergence_report(params, [0, 5])
-    with pytest.raises(ValueError):
-        convergence_report(SqueezeParams.from_tanh(math.tanh(-0.5)), [5])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        convergence_report(params, [5, 5])

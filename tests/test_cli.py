@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from horizon_teleport import cli
-from horizon_teleport.channel import squeeze_param
+from horizon_teleport.channel import SqueezeParams
 from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
 from horizon_teleport.teleport import fidelity_analytic
 
@@ -352,7 +352,7 @@ def test_converge_runs_near_the_divergence(capsys):
     header, rows = parse_csv(capsys.readouterr().out)
     assert header == list(CONVERGE_COLUMNS)
     assert [int(row[0]) for row in rows] == [2000000, 4000000]
-    closed = fidelity_analytic(squeeze_param(1e-3, 1e-4))
+    closed = fidelity_analytic(SqueezeParams(1e-3, 1e-4))
     for _, abs_error, loss in rows:
         expected = float(loss) / (1.0 - float(loss))
         assert float(abs_error) / closed == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -436,11 +436,19 @@ def test_readme_example_prints_what_the_readme_shows(argv, expected, capsys):
     assert printed == expected
 
 
+def test_readme_library_example_prints_the_closed_form(capsys):
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    (code,) = [b.removeprefix("python\n") for b in blocks if b.startswith("python\n")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].endswith("0.421875")
+
+
 def test_every_subcommand_help_lists_defaults(capsys):
     for name in ("fidelity", "simulate", "sweep", "converge"):
         assert run_cli([name, "--help"]) == 0
         out = capsys.readouterr().out
         assert "(default:" in out
+        assert "(default: None)" not in out
 
 
 def test_module_entry_point_runs():
