@@ -1,6 +1,7 @@
 """Command-line contract: flags, exit codes, and serialized output formats."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -441,6 +442,56 @@ def test_readme_library_example_prints_the_closed_form(capsys):
     (code,) = [b.removeprefix("python\n") for b in blocks if b.startswith("python\n")]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1].endswith("0.421875")
+
+
+_README_GRID = (
+    "sweep --mode with-simulation --radius-min 0.5 --radius-max 1 --radius-steps 4"
+    " --omega-min 0.5 --omega-max 1 --omega-steps 4"
+)
+# simulate --mass 1 at tanh r 0.3, 0.7 and 0.99
+_TANH_OMEGAS = ("0.191618223156684", "0.056766580404873923", "0.0015995606308184588")
+# the default input, the README's, and a generic one whose printed digits
+# move with the rounding of any step of the run
+_INPUTS = (
+    "",
+    " --alpha-re 0.6 --beta-im 0.8 --format json",
+    " --alpha-re 0.386530 --alpha-im -0.569622 --beta-re -0.274639 --beta-im 0.671341",
+)
+
+# sha256 of the file a simulated sweep writes, or of what the other
+# commands print; any change to a printed digit of a simulated value shows
+SIMULATED_DIGESTS = dict(
+    zip(
+        [_README_GRID, _README_GRID + " --format json"]
+        + [f"simulate --mass 1 --omega {omega}{qubit}" for omega in _TANH_OMEGAS for qubit in _INPUTS]
+        + ["converge --tanh-r 0.5 --cutoffs 5,10,20,30"],
+        [
+            "bb2c5fe4dbfd87ccf649cec113c2bfc260c19471e62f7569d1e6f309efdf66c1",
+            "01e665394908cca7888096ceaf13ea1c46eca8f70b8e5d63be1d44686a1bf185",
+            "5d375bc0996506e4aa568c1b5cea2b0f58c16567bda0f17f49af9179dc3ca21d",
+            "6b60b05c360a946804f5571e8f25629d37416b5cbd9fabe7e84752f134ac8bef",
+            "20fb9730037ebc8a3080648f2fdbf95b13fc62f74f7dcb53a5ae6ab368ea14d8",
+            "9b72a5775b3f77d28a86b2dfd280b812cf8092c0fda83f4431ae8ec04a2bbc08",
+            "8446686f5ae065e3db18aecbe60d4ec6fbf56049c33a95a688c018774640c0d3",
+            "38e092099ab139a7be5936a95480f6e2ccd4ad2b276def71414a170f716a437e",
+            "302439084094c9ea9adf39bc8faa93e51373fd95653ec97941d1cdac57d6f2a7",
+            "98a648eb82ea02250daf1e51a93103135a01c1438fc411c07ed48e4c5b54f8b0",
+            "91c6662598e6b05dc67271a6ccd088093d2a7cae52b3ed9930e848b7e6adcad9",
+            "f811f2ff139ef7fde7b93afac3880925157c3f6869223d122ac2f477c5c4874c",
+        ],
+    )
+)
+
+
+@pytest.mark.parametrize("command", list(SIMULATED_DIGESTS))
+def test_simulated_outputs_are_pinned_byte_for_byte(command, tmp_path, capsys):
+    argv = shlex.split(command)
+    out = tmp_path / "surface"
+    if argv[0] == "sweep":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 0
+    data = out.read_bytes() if argv[0] == "sweep" else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == SIMULATED_DIGESTS[command]
 
 
 def test_every_subcommand_help_lists_defaults(capsys):
