@@ -154,10 +154,18 @@ def _schmidt_coefficients(
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
     """
-    m = np.arange(n_max + 1)
-    powers = np.exp(-params.decay * m)
+    # each pass over the levels but the division works in place
+    m = np.arange(n_max + 1.0)
+    # exp(-x) underflows to 0.0 for every x above 745, so capping the decay
+    # at 1e3 changes no amplitude and keeps decay * m finite: an infinite
+    # decay (2 pi M Omega overflowed) would make tanh^0 r exp(-inf * 0) = NaN
+    powers = m * -min(params.decay, 1e3)
+    np.exp(powers, out=powers)
     zero = powers / params.cosh_r
-    one = powers * np.sqrt(m + 1.0) * params.sech2_r
+    m += 1.0
+    one = np.sqrt(m, out=m)
+    one *= powers
+    one *= params.sech2_r
     one[n_max] = 0.0
     return zero, one
 

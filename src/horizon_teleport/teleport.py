@@ -17,7 +17,9 @@ m, each with its rail's region-I offset: a run costs O(n_max).  Alice's
 input and Bell states carry one photon per dual-rail pair, so her Bell
 measurement is 2x2 linear algebra: ``fock.project`` of a row of
 ``BELL_TABLE`` onto (alpha, beta) leaves a 2-vector on her ancilla that
-weights the two branches.  The correction relabels the rails.
+weights the two branches.  The correction relabels the rails.  Numpy holds
+only Bob's vectors and takes their squared norms; the rest of a run, a few
+scalars per outcome, is Python float and complex arithmetic.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
@@ -67,13 +69,23 @@ BELL_TABLE = np.array(
     dtype=np.complex128,
 ) / math.sqrt(2.0)
 BELL_TABLE.setflags(write=False)
+_BELL_ROWS = tuple(zip(OUTCOME_LABELS, BELL_TABLE))
+
+# Bob's correction per outcome: (swap the rails, sign by rail 2's photons)
+_CORRECTIONS = {"00": (False, False), "01": (True, False), "10": (False, True), "11": (True, True)}
+
+# a Bell row's 1 / sqrt(2) as a factor: numpy divides a complex by a real
+# as a multiply by its reciprocal, Python's complex division does not, and
+# the printed digits are those of the multiply
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # outcomes with less weight than this are flagged instead of renormalized
 DEGENERATE_PROBABILITY = 1e-14
 
 # tracemalloc peak of run_protocol per cutoff level, n_max + 1 of them:
-# measured 40 bytes at n_max 10^3 to 4 10^6
+# measured 24 to 25 bytes at n_max 10^3 to 4 10^6
 _PEAK_BYTES_PER_LEVEL = 64
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -122,17 +134,18 @@ def _correct(label: str, branch, target):
     photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.  A
     corrected rail hits at region-II index m = target - offset.  Returns
     ((m1, m2), amplitude) by Bob's region-II rails, or None when an m lies
-    outside 0..n_max.
+    outside the rail's amplitudes.
     """
-    if label not in OUTCOME_LABELS:
-        raise ValueError(f"unknown outcome label {label!r}")
-    swap = label in ("01", "11")
-    (a1, offset1), (a2, offset2) = branch[::-1] if swap else branch
+    try:
+        swap, sign = _CORRECTIONS[label]
+    except KeyError:
+        raise ValueError(f"unknown outcome label {label!r}") from None
+    (a1, offset1), (a2, offset2) = (branch[1], branch[0]) if swap else branch
     m1, m2 = target[0] - offset1, target[1] - offset2
     if not (0 <= m1 < len(a1) and 0 <= m2 < len(a2)):
         return None
     amplitude = a1[m1] * a2[m2]
-    if label in ("10", "11") and target[1] % 2:
+    if sign and target[1] % 2:
         amplitude = -amplitude
     return ((m2, m1) if swap else (m1, m2)), amplitude  # region II is not swapped
 
@@ -157,14 +170,22 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     of two rails, each held as (amplitudes by region-II occupation m,
     region-I offset): offset 1 on the photon rail (|m+1, m>), 0 on the
     vacuum rail (|m, m>).  The branches occupy disjoint kets, so their
-    squared norms add.  For each Bell outcome, projecting its row of
-    ``BELL_TABLE`` onto the input (alpha, beta) leaves a logical vector v
-    on Alice's ancilla and Bob the state (conj(v0) E0 + conj(v1) E1) /
-    sqrt(2); the Born probability is the projection weight times its
-    squared norm.  The fidelity with region II traced out is
+    squared norms add, and each is the product of the rails' squared norms.
+    For each Bell outcome, projecting its row of ``BELL_TABLE`` onto the
+    input (alpha, beta) leaves a logical vector v on Alice's ancilla and Bob
+    the state (conj(v0) E0 + conj(v1) E1) / sqrt(2); the Born probability
+    is the projection weight times its squared norm.  The fidelity with
+    region II traced out is
     F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2
     of the corrected state psi: ``_correct`` finds each branch's entries on
     region-I occupations (1, 0) and (0, 1), added coherently by (m1, m2).
+    Those entries sit at m = target - offset in {0, 1}, so the run hands
+    ``_correct`` the first two entries of each rail.
+
+    Numpy does the O(n_max) work: the Schmidt vectors and their two squared
+    norms.  The rest, per outcome a few scales, products and moduli, runs
+    on Python floats and complex numbers, which skips numpy's per-call
+    overhead and rounds exactly as numpy scalars do.
 
     The run loses the dual-rail tail above ``n_max``, which
     ``channel.required_cutoff`` bounds.  Time and memory are O(n_max); a
@@ -175,49 +196,55 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     needed = _PEAK_BYTES_PER_LEVEL * (n_max + 1)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > physical:
+    if needed > _PHYSICAL_BYTES:
         raise ValueError(
             f"cutoff {n_max} needs about {needed / 1e9:.3g} GB for Bob's state, "
-            f"more than the {physical / 1e9:.3g} GB of physical memory"
+            f"more than the {_PHYSICAL_BYTES / 1e9:.3g} GB of physical memory"
         )
     zero, one = channel._schmidt_coefficients(params, n_max)
+    norm = float(one.dot(one)) * float(zero.dot(zero))  # of either branch
+    zero, one = zero[:2].tolist(), one[:2].tolist()
     branches = ((one, 1), (zero, 0)), ((zero, 0), (one, 1))
-    branch_norms = [float(a1 @ a1) * float(a2 @ a2) for (a1, _), (a2, _) in branches]
     targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
+    matches = [(k, branch, *target) for k, branch in enumerate(branches) for target in targets]
     logical = np.array([qubit.alpha, qubit.beta])
 
-    outcomes = []
-    for label, bell in zip(OUTCOME_LABELS, BELL_TABLE):
+    # the probabilities add in turn: sum() of floats compensates the
+    # rounding from Python 3.12 on, which would move the printed loss
+    outcomes, retained = [], 0.0
+    for label, bell in _BELL_ROWS:
         weight, v = project(bell, logical)
-        scales = (v[0].conjugate() / math.sqrt(2.0), v[1].conjugate() / math.sqrt(2.0))
-        norm_sq = sum(abs(c) ** 2 * n for c, n in zip(scales, branch_norms))
+        v0, v1 = v.tolist()
+        scales = v0.conjugate() * _SQRT_HALF, v1.conjugate() * _SQRT_HALF
+        norm_sq = abs(scales[0]) ** 2 * norm + abs(scales[1]) ** 2 * norm
         probability = weight * norm_sq
+        retained += probability
         if probability < DEGENERATE_PROBABILITY:
             outcomes.append(_degenerate_outcome(label, probability))
             continue
         overlap = {}
-        for scale, branch in zip(scales, branches):
-            for target, conj_amp in targets:
-                hit = _correct(label, branch, target)
-                if hit is not None:
-                    m, amplitude = hit
-                    overlap[m] = overlap.get(m, 0.0) + conj_amp * scale * amplitude
-        fidelity = sum(abs(c) ** 2 for c in overlap.values()) / norm_sq
+        for k, branch, target, conj_amp in matches:
+            hit = _correct(label, branch, target)
+            if hit is not None:
+                m, amplitude = hit
+                overlap[m] = overlap.get(m, 0.0) + conj_amp * scales[k] * amplitude
+        fidelity = sum([abs(c) ** 2 for c in overlap.values()]) / norm_sq
         outcomes.append(TeleportOutcome(label, probability, fidelity))
-    loss = 1.0 - sum(o.probability for o in outcomes)
-    return ProtocolRun(outcomes, _average_fidelity(outcomes), loss)
+    return ProtocolRun(outcomes, _average_fidelity(outcomes), 1.0 - retained)
 
 
 def _average_fidelity(outcomes: list[TeleportOutcome]) -> float:
-    """Probability-weighted fidelity over the non-degenerate outcomes."""
-    weights = [o.probability for o in outcomes if "degenerate" not in o.flags]
-    values = [o.fidelity for o in outcomes if "degenerate" not in o.flags]
-    total = sum(weights)
+    """Probability-weighted fidelity over the non-degenerate outcomes,
+    added in turn like the loss."""
+    total = weighted = 0.0
+    for o in outcomes:
+        if "degenerate" not in o.flags:
+            total += o.probability
+            weighted += o.probability * o.fidelity
     if total == 0.0:
         retained = sum(o.probability for o in outcomes)
         raise ValueError(
             f"all outcomes degenerate: they retain probability {retained:.3g} in all, "
             "so the cutoff truncates almost all of Bob's state; no average fidelity"
         )
-    return sum(w * f for w, f in zip(weights, values)) / total
+    return weighted / total

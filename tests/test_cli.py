@@ -8,6 +8,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,38 @@ def test_simulate_flat_limit_rows(capsys):
     summary = parse_summary_comments(out)
     assert summary["n_max"] == "1"
     assert float(summary["truncation_loss"]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mass", "1", "--omega", "1e308"],
+        ["simulate", "--mass", "inf", "--omega", "1"],
+        ["converge", "--mass", "1e308", "--omega", "10", "--cutoffs", "2,3"],
+    ],
+    ids=" ".join,
+)
+def test_an_infinite_decay_is_flat_space(argv, capsys):
+    # 2 pi M Omega overflows to inf, where tanh^0 r must still be 1: the
+    # flat-space outcomes, and no NaN or numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, rows = parse_csv(captured.out)
+    if argv[0] == "converge":
+        assert [int(row[0]) for row in rows] == [2, 3]
+        for _, abs_error, loss in rows:
+            assert float(abs_error) == pytest.approx(0.0, abs=1e-15)
+            assert float(loss) == pytest.approx(0.0, abs=1e-15)
+        return
+    for _, probability, fidelity, flags in rows:
+        assert float(probability) == pytest.approx(0.25, abs=1e-15)
+        assert float(fidelity) == pytest.approx(1.0, abs=1e-15)
+        assert flags == ""
+    loss = parse_summary_comments(captured.out)["truncation_loss"]
+    assert float(loss) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_simulate_matches_the_closed_form(capsys):

@@ -119,7 +119,7 @@ def test_only_the_protocol_sums_outcome_probabilities():
         ]
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert sums.pop("teleport")  # the loss and the average
+    assert sums.pop("teleport")  # the weight an all-degenerate run reports
     assert all(lines == [] for lines in sums.values()), sums
 
 

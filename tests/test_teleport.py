@@ -476,6 +476,16 @@ def test_reported_values_stay_in_bounds():
             assert 0.0 <= o.fidelity <= 1.0 + 1e-12
 
 
+def test_a_run_reports_python_floats():
+    # not numpy scalars, which are float subclasses, so the type is compared
+    qubit = make_qubit(0.3 + 0.4j, 0.5 - 0.7j)
+    for params, n_max in ((FLAT, 1), (SqueezeParams(0.5, 1.0), 9), (SqueezeParams.from_tanh(0.7), 37)):
+        run = run_protocol(params, qubit, n_max)
+        values = [run.fidelity, run.loss]
+        values += [value for o in run.outcomes for value in (o.probability, o.fidelity)]
+        assert {type(value) for value in values} == {float}
+
+
 # ---------------------------------------------------------------- diagnostics
 
 
