@@ -103,49 +103,23 @@ def test_divergent_squeezing_exits_2_with_the_product(capsys):
 
 
 def test_simulate_flat_limit_rows(capsys):
-    assert run_cli(["simulate", "--mass", "100", "--omega", "100"]) == 0
-    out = capsys.readouterr().out
-    header, rows = parse_csv(out)
-    assert header == ["label", "probability", "fidelity", "flags"]
-    assert [r[0] for r in rows] == ["00", "01", "10", "11"]
-    for row in rows:
-        assert float(row[1]) == pytest.approx(0.25, abs=1e-10)
-        assert float(row[2]) == pytest.approx(1.0, abs=1e-10)
-    summary = parse_summary_comments(out)
-    assert summary["n_max"] == "1"
-    assert float(summary["truncation_loss"]) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--mass", "1", "--omega", "1e308"],
-        ["simulate", "--mass", "inf", "--omega", "1"],
-        ["converge", "--mass", "1e308", "--omega", "10", "--cutoffs", "2,3"],
-    ],
-    ids=" ".join,
-)
-def test_an_infinite_decay_is_flat_space(argv, capsys):
-    # 2 pi M Omega overflows to inf, where tanh^0 r must still be 1: the
-    # flat-space outcomes, and no NaN or numpy warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    _, rows = parse_csv(captured.out)
-    if argv[0] == "converge":
-        assert [int(row[0]) for row in rows] == [2, 3]
-        for _, abs_error, loss in rows:
-            assert float(abs_error) == pytest.approx(0.0, abs=1e-15)
-            assert float(loss) == pytest.approx(0.0, abs=1e-15)
-        return
-    for _, probability, fidelity, flags in rows:
-        assert float(probability) == pytest.approx(0.25, abs=1e-15)
-        assert float(fidelity) == pytest.approx(1.0, abs=1e-15)
-        assert flags == ""
-    loss = parse_summary_comments(captured.out)["truncation_loss"]
-    assert float(loss) == pytest.approx(0.0, abs=1e-15)
+    # flat space, and 2 pi M Omega overflowed to inf, where tanh^0 r must
+    # still be 1: no NaN and no numpy warning
+    for mass, omega in (("100", "100"), ("1", "1e308"), ("inf", "1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["simulate", "--mass", mass, "--omega", omega]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        header, rows = parse_csv(out)
+        assert header == ["label", "probability", "fidelity", "flags"]
+        assert [r[0] for r in rows] == ["00", "01", "10", "11"]
+        for row in rows:
+            assert float(row[1]) == pytest.approx(0.25, abs=1e-10)
+            assert float(row[2]) == pytest.approx(1.0, abs=1e-10)
+        summary = parse_summary_comments(out)
+        assert summary["n_max"] == "1"
+        assert float(summary["truncation_loss"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simulate_matches_the_closed_form(capsys):
@@ -352,15 +326,22 @@ def test_converge_table_on_stdout(capsys):
 
 
 def test_converge_flat_and_file_output(tmp_path, capsys):
-    assert run_cli(["converge", "--tanh-r", "0", "--cutoffs", "1,2"]) == 0
-    stdout = capsys.readouterr().out
-    _, rows = parse_csv(stdout)
-    for row in rows:
-        assert float(row[1]) <= 1e-12
+    # flat space, and the overflowed 2 pi M Omega of the simulate test above
+    for geometry in (["--tanh-r", "0"], ["--mass", "1e308", "--omega", "10"]):
+        argv = ["converge"] + geometry + ["--cutoffs", "1,2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 0
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        _, rows = parse_csv(stdout)
+        for row in rows:
+            assert float(row[1]) <= 1e-12
+            assert float(row[2]) <= 1e-12
 
-    out = tmp_path / "table.csv"
-    assert run_cli(["converge", "--tanh-r", "0", "--cutoffs", "1,2", "--out", str(out)]) == 0
-    assert out.read_text() == stdout
+        out = tmp_path / "table.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == stdout
 
 
 def test_converge_accepts_mass_and_omega(capsys):
@@ -484,7 +465,7 @@ _README_GRID = (
 # simulate --mass 1 at tanh r 0.3, 0.7 and 0.99
 _TANH_OMEGAS = ("0.191618223156684", "0.056766580404873923", "0.0015995606308184588")
 # the default input, the README's, and a generic one whose printed digits
-# move with the rounding of any step of the run
+# change with the rounding of the run's scalar steps
 _INPUTS = (
     "",
     " --alpha-re 0.6 --beta-im 0.8 --format json",
