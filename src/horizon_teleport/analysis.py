@@ -30,16 +30,15 @@ __all__ = [
 
 SWEEP_MODES = ("analytic-only", "with-simulation")
 
-_SCALES = ("log", "linear")
-
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Rectangular (radius, omega) grid, log or linear per axis.
+    """Rectangular (radius, omega) grid, log-spaced on both axes between
+    finite, positive edges.
 
     Defaults reproduce the published fidelity surface: radius from 1e-4 to
-    1 and frequency from 1e-3 to 1, 50 log-spaced steps each (the ranges
-    span four and three decades).
+    1 and frequency from 1e-3 to 1, 50 steps each (the ranges span four and
+    three decades).
     """
 
     radius_min: float = 1e-4
@@ -48,8 +47,6 @@ class SweepGrid:
     omega_max: float = 1.0
     radius_steps: int = 50
     omega_steps: int = 50
-    radius_scale: str = "log"
-    omega_scale: str = "log"
 
     def __post_init__(self) -> None:
         for lo, hi, name in (
@@ -58,27 +55,23 @@ class SweepGrid:
         ):
             if not 0.0 < lo < hi:
                 raise ValueError(f"{name} range needs 0 < min < max, got [{lo!r}, {hi!r}]")
+            if hi == math.inf:
+                raise ValueError(f"{name} range needs a finite max, got {hi!r}")
         for steps, name in ((self.radius_steps, "radius"), (self.omega_steps, "omega")):
             if steps < 2:
                 raise ValueError(f"{name}_steps must be >= 2, got {steps}")
-        for scale, name in ((self.radius_scale, "radius"), (self.omega_scale, "omega")):
-            if scale not in _SCALES:
-                raise ValueError(f"{name}_scale must be one of {_SCALES}, got {scale!r}")
 
     @staticmethod
-    def _axis(lo: float, hi: float, steps: int, scale: str) -> np.ndarray:
-        if scale == "log":
-            values = np.logspace(math.log10(lo), math.log10(hi), steps)
-        else:
-            values = np.linspace(lo, hi, steps)
+    def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
+        values = np.logspace(math.log10(lo), math.log10(hi), steps)
         values[0], values[-1] = lo, hi  # corners exact despite log round-trip
         return values
 
     def radius_values(self) -> np.ndarray:
-        return self._axis(self.radius_min, self.radius_max, self.radius_steps, self.radius_scale)
+        return self._axis(self.radius_min, self.radius_max, self.radius_steps)
 
     def omega_values(self) -> np.ndarray:
-        return self._axis(self.omega_min, self.omega_max, self.omega_steps, self.omega_scale)
+        return self._axis(self.omega_min, self.omega_max, self.omega_steps)
 
 
 DEFAULT_GRID = SweepGrid()

@@ -269,14 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         for key, help_text in (
             ("min", f"smallest {noun}"),
             ("max", f"largest {noun}"),
-            ("steps", f"grid points along {axis}"),
-            ("scale", f"{axis} axis spacing"),
+            ("steps", f"log-spaced grid points along {axis}"),
         ):
             default = getattr(analysis.DEFAULT_GRID, f"{axis}_{key}")
-            choices = analysis._SCALES if key == "scale" else None
-            p.add_argument(
-                f"--{axis}-{key}", type=type(default), choices=choices, default=default, help=help_text
-            )
+            p.add_argument(f"--{axis}-{key}", type=type(default), default=default, help=help_text)
     p.add_argument("--mode", choices=analysis.SWEEP_MODES, default="analytic-only", help="evaluation mode")
     budget(p, "cutoff cap for simulated points")
     p.add_argument("--out", required=True, help="output file path")

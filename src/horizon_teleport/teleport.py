@@ -79,7 +79,8 @@ _CORRECTIONS = {"00": (False, False), "01": (True, False), "10": (False, True), 
 # the printed digits are those of the multiply
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# outcomes with less weight than this are flagged instead of renormalized
+# a run raises when each outcome carries less weight than this, instead of
+# renormalizing: its cutoff has truncated almost all of Bob's state
 DEGENERATE_PROBABILITY = 1e-14
 
 # tracemalloc peak of run_protocol per cutoff level, n_max + 1 of them:
@@ -107,8 +108,9 @@ class DualRailQubit:
 class TeleportOutcome:
     """One Bell result: its probability and the post-correction fidelity.
 
-    A probability below DEGENERATE_PROBABILITY is flagged "degenerate" and
-    the fidelity reported as NaN (not applicable), never divided through.
+    ``flags`` is always empty: every outcome carries a quarter of the
+    retained weight, so a run either scores all four or raises.  The field
+    stays because it is a column of the ``simulate`` table.
     """
 
     label: str
@@ -136,10 +138,7 @@ def _correct(label: str, branch, target):
     ((m1, m2), amplitude) by Bob's region-II rails, or None when an m lies
     outside the rail's amplitudes.
     """
-    try:
-        swap, sign = _CORRECTIONS[label]
-    except KeyError:
-        raise ValueError(f"unknown outcome label {label!r}") from None
+    swap, sign = _CORRECTIONS[label]
     (a1, offset1), (a2, offset2) = (branch[1], branch[0]) if swap else branch
     m1, m2 = target[0] - offset1, target[1] - offset2
     if not (0 <= m1 < len(a1) and 0 <= m2 < len(a2)):
@@ -153,13 +152,6 @@ def _correct(label: str, branch, target):
 def fidelity_analytic(params: SqueezeParams) -> float:
     """Closed-form post-correction fidelity 1 / cosh^6 r = (1 - tanh^2 r)^3."""
     return params.sech2_r**3
-
-
-def _degenerate_outcome(label: str, probability: float) -> TeleportOutcome:
-    """Outcome that (numerically) cannot occur: NaN fidelity, flagged."""
-    return TeleportOutcome(
-        label=label, probability=probability, fidelity=math.nan, flags=("degenerate",)
-    )
 
 
 def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> ProtocolRun:
@@ -190,8 +182,11 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     The run loses the dual-rail tail above ``n_max``, which
     ``channel.required_cutoff`` bounds.  Time and memory are O(n_max); a
     cutoff that would not fit in physical memory raises ``ValueError``
-    before any array is allocated, and a run whose outcomes are all
-    degenerate, which has no average fidelity, raises it at the end.
+    before any array is allocated.  Each row of ``BELL_TABLE`` is unitary
+    over sqrt(2), so every outcome's probability is a quarter of the
+    retained weight; when they fall below ``DEGENERATE_PROBABILITY`` the
+    cutoff has cut away almost all of Bob's state, and the run raises
+    ``ValueError`` at the end instead of returning an average.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
@@ -219,9 +214,6 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
         norm_sq = abs(scales[0]) ** 2 * norm + abs(scales[1]) ** 2 * norm
         probability = weight * norm_sq
         retained += probability
-        if probability < DEGENERATE_PROBABILITY:
-            outcomes.append(_degenerate_outcome(label, probability))
-            continue
         overlap = {}
         for k, branch, target, conj_amp in matches:
             hit = _correct(label, branch, target)
@@ -230,21 +222,19 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
                 overlap[m] = overlap.get(m, 0.0) + conj_amp * scales[k] * amplitude
         fidelity = sum([abs(c) ** 2 for c in overlap.values()]) / norm_sq
         outcomes.append(TeleportOutcome(label, probability, fidelity))
-    return ProtocolRun(outcomes, _average_fidelity(outcomes), 1.0 - retained)
-
-
-def _average_fidelity(outcomes: list[TeleportOutcome]) -> float:
-    """Probability-weighted fidelity over the non-degenerate outcomes,
-    added in turn like the loss."""
-    total = weighted = 0.0
-    for o in outcomes:
-        if "degenerate" not in o.flags:
-            total += o.probability
-            weighted += o.probability * o.fidelity
-    if total == 0.0:
-        retained = sum(o.probability for o in outcomes)
+    if any(o.probability < DEGENERATE_PROBABILITY for o in outcomes):
         raise ValueError(
             f"all outcomes degenerate: they retain probability {retained:.3g} in all, "
             "so the cutoff truncates almost all of Bob's state; no average fidelity"
         )
+    return ProtocolRun(outcomes, _average_fidelity(outcomes), 1.0 - retained)
+
+
+def _average_fidelity(outcomes: list[TeleportOutcome]) -> float:
+    """Probability-weighted fidelity of the outcomes, added in turn like
+    the loss."""
+    total = weighted = 0.0
+    for o in outcomes:
+        total += o.probability
+        weighted += o.probability * o.fidelity
     return weighted / total

@@ -312,6 +312,18 @@ def test_sweep_validation_and_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("edge", ["--radius-max", "--omega-max"])
+def test_sweep_refuses_an_infinite_edge(tmp_path, capsys, edge):
+    # an infinite edge would put inf and NaN on the log axis
+    out = tmp_path / "o.csv"
+    argv = ["sweep", edge, "inf", "--radius-steps", "3", "--omega-steps", "3", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 1
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- converge
 
 

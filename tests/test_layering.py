@@ -108,18 +108,22 @@ def test_each_command_runs_the_protocol_through_one_call():
 
 
 def test_only_the_protocol_sums_outcome_probabilities():
+    # a sum() over probabilities, or a += of one
     sums = {
         path.stem: [
             node.lineno
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "sum"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                or isinstance(node, ast.AugAssign)
+            )
             and "probability" in set(_names_in(node))
         ]
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert sums.pop("teleport")  # the weight an all-degenerate run reports
+    assert sums.pop("teleport")  # the retained weight, 1 - loss
     assert all(lines == [] for lines in sums.values()), sums
 
 

@@ -489,22 +489,18 @@ def test_a_run_reports_python_floats():
 # ---------------------------------------------------------------- diagnostics
 
 
-def test_degenerate_outcomes_are_flagged_not_divided():
-    outcome = teleport._degenerate_outcome("10", 0.0)
-    assert outcome.flags == ("degenerate",)
-    assert math.isnan(outcome.fidelity)
-    assert outcome.probability == 0.0
+def test_a_run_that_truncates_almost_all_of_bobs_state_raises():
+    # M Omega = 1e-7: cutoff 5 retains 1.8e-16 of Bob's state, so each
+    # outcome falls below DEGENERATE_PROBABILITY and no average is returned
     assert DEGENERATE_PROBABILITY == 1e-14
-
-    with pytest.raises(ValueError, match="cutoff truncates"):
-        teleport._average_fidelity([outcome])
+    with pytest.raises(ValueError, match="retain probability .* cutoff truncates"):
+        run_protocol(SqueezeParams(1e-3, 1e-4), make_qubit(0.6, 0.8j), 5)
 
 
 def test_average_fidelity_weights_by_probability():
     a = teleport.TeleportOutcome("00", 0.2, 0.5)
     b = teleport.TeleportOutcome("01", 0.6, 1.0)
-    degenerate = teleport._degenerate_outcome("10", 0.0)
-    assert teleport._average_fidelity([a, b, degenerate]) == pytest.approx(0.875)
+    assert teleport._average_fidelity([a, b]) == pytest.approx(0.875)
 
 
 def test_premeasure_weight_flat_and_squeezed():
