@@ -150,7 +150,7 @@ def _cmd_simulate(args) -> int:
     alpha = complex(args.alpha_re, args.alpha_im)
     beta = complex(args.beta_re, args.beta_im)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm_sq - 1.0) > 1e-6:
+    if not abs(norm_sq - 1.0) <= 1e-6:  # NaN fails it too
         raise ValueError(
             f"input amplitudes must be normalized within 1e-6, got |a|^2+|b|^2 = {norm_sq!r}"
         )

@@ -17,9 +17,11 @@ m, each with its rail's region-I offset: a run costs O(n_max).  Alice's
 input and Bell states carry one photon per dual-rail pair, so her Bell
 measurement is 2x2 linear algebra: ``fock.project`` of a row of
 ``BELL_TABLE`` onto (alpha, beta) leaves a 2-vector on her ancilla that
-weights the two branches.  The correction relabels the rails.  Numpy holds
-only Bob's vectors and takes their squared norms; the rest of a run, a few
-scalars per outcome, is Python float and complex arithmetic.
+weights the two branches.  The correction relabels the rails, so each
+corrected branch meets the ideal state on one entry only: where region II
+is empty.  Numpy holds only Bob's vectors and takes their squared norms;
+the rest of a run, a few scalars per outcome, is Python float and complex
+arithmetic.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
@@ -58,7 +60,7 @@ OUTCOME_LABELS = ("00", "01", "10", "11")
 # the logical basis, axes (outcome, input bit, ancilla bit), in
 # OUTCOME_LABELS order.  Projecting each onto the input (alpha, beta) leaves
 # Bob the conditional logical amplitudes (alpha, beta), (beta, alpha),
-# (alpha, -beta), (-beta, alpha), which ``_correct`` undoes.
+# (alpha, -beta), (-beta, alpha), which Bob's correction undoes.
 BELL_TABLE = np.array(
     [
         [[1, 0], [0, 1]],  # (|0L 0L> + |1L 1L>) / sqrt(2)
@@ -69,10 +71,12 @@ BELL_TABLE = np.array(
     dtype=np.complex128,
 ) / math.sqrt(2.0)
 BELL_TABLE.setflags(write=False)
-_BELL_ROWS = tuple(zip(OUTCOME_LABELS, BELL_TABLE))
-
-# Bob's correction per outcome: (swap the rails, sign by rail 2's photons)
-_CORRECTIONS = {"00": (False, False), "01": (True, False), "10": (False, True), "11": (True, True)}
+# each outcome with its Bell row and Bob's correction: 01 swaps the rails
+# (dual-rail bit flip), 10 puts a pi phase per photon on rail 2 (phase
+# flip), 11 swaps and then signs
+_BELL_ROWS = tuple(
+    zip(OUTCOME_LABELS, BELL_TABLE, (False, True, False, True), (False, False, True, True))
+)
 
 # a Bell row's 1 / sqrt(2) as a factor: numpy divides a complex by a real
 # as a multiply by its reciprocal, Python's complex division does not, and
@@ -100,7 +104,7 @@ class DualRailQubit:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > TOLERANCE:
+        if not abs(norm_sq - 1.0) <= TOLERANCE:  # NaN fails it too
             raise ValueError(f"qubit not normalized: |alpha|^2 + |beta|^2 = {norm_sq!r}")
 
 
@@ -128,27 +132,6 @@ class ProtocolRun(NamedTuple):
     loss: float
 
 
-def _correct(label: str, branch, target):
-    """Relabel and match: the entry of one of Bob's branches that his
-    correction for ``label`` lands on region-I occupations ``target``.
-
-    01 swaps the two rails (dual-rail bit flip), 10 puts a pi phase per
-    photon on rail 2 (dual-rail phase flip), 11 swaps and then signs.  A
-    corrected rail hits at region-II index m = target - offset.  Returns
-    ((m1, m2), amplitude) by Bob's region-II rails, or None when an m lies
-    outside the rail's amplitudes.
-    """
-    swap, sign = _CORRECTIONS[label]
-    (a1, offset1), (a2, offset2) = (branch[1], branch[0]) if swap else branch
-    m1, m2 = target[0] - offset1, target[1] - offset2
-    if not (0 <= m1 < len(a1) and 0 <= m2 < len(a2)):
-        return None
-    amplitude = a1[m1] * a2[m2]
-    if sign and target[1] % 2:
-        amplitude = -amplitude
-    return ((m2, m1) if swap else (m1, m2)), amplitude  # region II is not swapped
-
-
 def fidelity_analytic(params: SqueezeParams) -> float:
     """Closed-form post-correction fidelity 1 / cosh^6 r = (1 - tanh^2 r)^3."""
     return params.sech2_r**3
@@ -169,10 +152,12 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     is the projection weight times its squared norm.  The fidelity with
     region II traced out is
     F = sum_{m1,m2} |conj(alpha) psi[1,m1,0,m2] + conj(beta) psi[0,m1,1,m2]|^2
-    of the corrected state psi: ``_correct`` finds each branch's entries on
-    region-I occupations (1, 0) and (0, 1), added coherently by (m1, m2).
-    Those entries sit at m = target - offset in {0, 1}, so the run hands
-    ``_correct`` the first two entries of each rail.
+    of the corrected state psi.  A corrected rail sits at region-I
+    occupation m + offset, and each target, (1, 0) or (0, 1), has a 0 on
+    one rail, so a branch meets only the target whose 1 is on its photon
+    rail, and only at (m1, m2) = (0, 0): branch k lands on logical bit
+    k ^ swap, signed when the outcome signs and that bit is 1, with
+    amplitude one[0] * zero[0].  The sum has one term.
 
     Numpy does the O(n_max) work: the Schmidt vectors and their two squared
     norms.  The rest, per outcome a few scales, products and moduli, runs
@@ -198,43 +183,30 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
         )
     zero, one = channel._schmidt_coefficients(params, n_max)
     norm = float(one.dot(one)) * float(zero.dot(zero))  # of either branch
-    zero, one = zero[:2].tolist(), one[:2].tolist()
-    branches = ((one, 1), (zero, 0)), ((zero, 0), (one, 1))
-    targets = (((1, 0), qubit.alpha.conjugate()), ((0, 1), qubit.beta.conjugate()))
-    matches = [(k, branch, *target) for k, branch in enumerate(branches) for target in targets]
+    vacuum = float(one[0]) * float(zero[0])  # both rails at region-II vacuum
+    targets = qubit.alpha.conjugate(), qubit.beta.conjugate()
     logical = np.array([qubit.alpha, qubit.beta])
 
     # the probabilities add in turn: sum() of floats compensates the
     # rounding from Python 3.12 on, which would move the printed loss
-    outcomes, retained = [], 0.0
-    for label, bell in _BELL_ROWS:
+    outcomes, retained, weighted = [], 0.0, 0.0
+    for label, bell, swap, sign in _BELL_ROWS:
         weight, v = project(bell, logical)
         v0, v1 = v.tolist()
         scales = v0.conjugate() * _SQRT_HALF, v1.conjugate() * _SQRT_HALF
         norm_sq = abs(scales[0]) ** 2 * norm + abs(scales[1]) ** 2 * norm
         probability = weight * norm_sq
+        overlap = 0.0
+        for k, scale in enumerate(scales):
+            t = k ^ swap
+            overlap += targets[t] * scale * (-vacuum if sign and t else vacuum)
+        fidelity = abs(overlap) ** 2 / norm_sq
         retained += probability
-        overlap = {}
-        for k, branch, target, conj_amp in matches:
-            hit = _correct(label, branch, target)
-            if hit is not None:
-                m, amplitude = hit
-                overlap[m] = overlap.get(m, 0.0) + conj_amp * scales[k] * amplitude
-        fidelity = sum([abs(c) ** 2 for c in overlap.values()]) / norm_sq
+        weighted += probability * fidelity
         outcomes.append(TeleportOutcome(label, probability, fidelity))
     if any(o.probability < DEGENERATE_PROBABILITY for o in outcomes):
         raise ValueError(
             f"all outcomes degenerate: they retain probability {retained:.3g} in all, "
             "so the cutoff truncates almost all of Bob's state; no average fidelity"
         )
-    return ProtocolRun(outcomes, _average_fidelity(outcomes), 1.0 - retained)
-
-
-def _average_fidelity(outcomes: list[TeleportOutcome]) -> float:
-    """Probability-weighted fidelity of the outcomes, added in turn like
-    the loss."""
-    total = weighted = 0.0
-    for o in outcomes:
-        total += o.probability
-        weighted += o.probability * o.fidelity
-    return weighted / total
+    return ProtocolRun(outcomes, weighted / retained, 1.0 - retained)

@@ -17,6 +17,7 @@ from horizon_teleport import cli
 from horizon_teleport.channel import SqueezeParams
 from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
 from horizon_teleport.teleport import fidelity_analytic
+from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -177,6 +178,14 @@ def test_simulate_validation_exit_codes(capsys):
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--beta-re", "1"]) == 1
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--epsilon", "0.5"]) == 1
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--max-cutoff", "0"]) == 1
+    # NaN fails every comparison, so a norm check written as "> tol" let it
+    # through to four NaN rows and a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["simulate", "--mass", "1", "--omega", "0.1", "--alpha-re", "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "normalized" in err
     # near-normalized input within the 1e-6 budget is renormalized, not refused
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--alpha-re", "1.0000004"]) == 0
     capsys.readouterr()
@@ -509,6 +518,21 @@ SIMULATED_DIGESTS = dict(
 )
 
 
+def _assert_the_finite_cutoff_law(argv, text):
+    if "json" in argv:
+        data = json.loads(text)
+        rows, n_max = data["outcomes"], data["n_max"]
+    else:
+        header, cells = parse_csv(text)
+        rows = [dict(zip(header, r)) for r in cells]
+        n_max = int(parse_summary_comments(text)["n_max"])
+    omega = float(argv[argv.index("--omega") + 1])
+    probability, fidelity = finite_cutoff_law(SqueezeParams(1.0, omega).decay, n_max)
+    for row in rows:
+        assert law_deviation(float(row["probability"]), probability) <= LAW_RTOL
+        assert law_deviation(float(row["fidelity"]), fidelity) <= LAW_RTOL
+
+
 @pytest.mark.parametrize("command", list(SIMULATED_DIGESTS))
 def test_simulated_outputs_are_pinned_byte_for_byte(command, tmp_path, capsys):
     argv = shlex.split(command)
@@ -517,6 +541,9 @@ def test_simulated_outputs_are_pinned_byte_for_byte(command, tmp_path, capsys):
         argv += ["--out", str(out)]
     assert run_cli(argv) == 0
     data = out.read_bytes() if argv[0] == "sweep" else capsys.readouterr().out.encode()
+    if argv[0] == "simulate":
+        # checked first, so a changed digit says how far it moved
+        _assert_the_finite_cutoff_law(argv, data.decode())
     assert hashlib.sha256(data).hexdigest() == SIMULATED_DIGESTS[command]
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horizon_teleport import channel, fock, teleport
@@ -26,6 +26,7 @@ from horizon_teleport.teleport import (
 )
 from oracles import (
     ALICE_ANCILLA,
+    LAW_RTOL,
     FockVector,
     ModeLayout,
     basis_state,
@@ -33,8 +34,10 @@ from oracles import (
     bell_resource,
     correction_matrix,
     dense_protocol,
+    finite_cutoff_law,
     inner,
     input_state,
+    law_deviation,
     project,
     reduced_density,
     resource_layout,
@@ -69,6 +72,10 @@ def _seeded_qubit(seed):
 def test_dual_rail_qubit_validation_and_state():
     with pytest.raises(ValueError):
         DualRailQubit(1.0, 1.0)
+    # a NaN norm compares false both ways, so it must not pass as normalized
+    for alpha, beta in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
+        with pytest.raises(ValueError, match="not normalized"):
+            DualRailQubit(alpha, beta)
     qubit = DualRailQubit(0.6, 0.8j)
     state = input_state(qubit)
     assert state.layout.modes == ("X1", "X2")
@@ -279,11 +286,19 @@ def test_unit_radius_point_matches_the_closed_form():
 
 def test_outcomes_are_equivalent_after_correction():
     params = SqueezeParams.from_tanh(0.5)
-    outcomes = run_protocol(params, make_qubit(0.3 + 0.4j, 0.5 - 0.7j), 19).outcomes
-    fidelities = [o.fidelity for o in outcomes]
+    run = run_protocol(params, make_qubit(0.3 + 0.4j, 0.5 - 0.7j), 19)
+    fidelities = [o.fidelity for o in run.outcomes]
     assert max(fidelities) - min(fidelities) <= 1e-8
-    probabilities = [o.probability for o in outcomes]
+    probabilities = [o.probability for o in run.outcomes]
     assert max(probabilities) - min(probabilities) <= 1e-8
+    # the average is the probability-weighted mean of the outcomes and the
+    # loss 1 - their total, both added in turn, to the last bit
+    retained = weighted = 0.0
+    for o in run.outcomes:
+        retained += o.probability
+        weighted += o.probability * o.fidelity
+    assert run.fidelity == weighted / retained
+    assert run.loss == 1.0 - retained
 
 
 def _eight_mode_protocol(params, qubit, n_max):
@@ -455,6 +470,32 @@ def test_every_outcome_has_the_predicted_probability_and_fidelity(params, n_max,
         assert o.fidelity * kept_sums == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    tanh_r=st.floats(0.0, 1.0 - 1e-7),
+    n_max=st.integers(1, 10**5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tanh_r=1.0 - 1e-7, n_max=10**5, seed=0)
+@example(tanh_r=1.0 - 1e-7, n_max=1, seed=0)
+@example(tanh_r=0.0, n_max=1, seed=0)
+def test_every_outcome_follows_the_finite_cutoff_law(tanh_r, n_max, seed):
+    # p = K / 4 and F = (1 - x)^3 / K exactly, for any input; a run raises
+    # where the law puts p below DEGENERATE_PROBABILITY
+    params = SqueezeParams.from_tanh(tanh_r)
+    probability, fidelity = finite_cutoff_law(params.decay, n_max)
+    # off the rounding edge of the refusal
+    assume(law_deviation(DEGENERATE_PROBABILITY, probability) > 1e-9)
+    qubit = _seeded_qubit(seed)
+    if probability < DEGENERATE_PROBABILITY:
+        with pytest.raises(ValueError, match="degenerate"):
+            run_protocol(params, qubit, n_max)
+        return
+    for o in run_protocol(params, qubit, n_max).outcomes:
+        assert law_deviation(o.probability, probability) <= LAW_RTOL, o.label
+        assert law_deviation(o.fidelity, fidelity) <= LAW_RTOL, o.label
+
+
 def test_generic_point_keeps_the_predicted_weight():
     # a generic (M, Omega) from the default surface at the cutoff that
     # required_cutoff picks for 1e-10: powers of the rounded tanh r drift
@@ -495,12 +536,6 @@ def test_a_run_that_truncates_almost_all_of_bobs_state_raises():
     assert DEGENERATE_PROBABILITY == 1e-14
     with pytest.raises(ValueError, match="retain probability .* cutoff truncates"):
         run_protocol(SqueezeParams(1e-3, 1e-4), make_qubit(0.6, 0.8j), 5)
-
-
-def test_average_fidelity_weights_by_probability():
-    a = teleport.TeleportOutcome("00", 0.2, 0.5)
-    b = teleport.TeleportOutcome("01", 0.6, 1.0)
-    assert teleport._average_fidelity([a, b]) == pytest.approx(0.875)
 
 
 def test_premeasure_weight_flat_and_squeezed():
