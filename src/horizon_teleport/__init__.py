@@ -12,7 +12,8 @@ it against, with its own Fock toolkit and Bell states, lives in
 ``tests/oracles.py``, not in the package.
 
 Layers, bottom up: :mod:`~horizon_teleport.fock` (Alice's projective
-measurement, one ``project``), :mod:`~horizon_teleport.channel`
+measurement, one ``project``, run four times per input qubit, once per
+Bell outcome), :mod:`~horizon_teleport.channel`
 (the horizon two-mode-squeezing channel), :mod:`~horizon_teleport.teleport`
 (the protocol), :mod:`~horizon_teleport.analysis` (parameter sweeps and
 convergence tables), :mod:`~horizon_teleport.cli` (command line).

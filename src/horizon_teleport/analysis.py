@@ -6,7 +6,9 @@ with the simulation where the required cutoff stays under a cap
 (``channel.CUTOFF_CAP`` unless given).  The convergence report pins how
 fast the simulated fidelity approaches the closed form as the cutoff
 grows.  Each simulated point and each convergence row is one
-``teleport.run_protocol`` call, whose fidelity and loss it reports.
+``teleport.run_protocol`` call, whose fidelity and loss it reports.  Each
+sweep and each report builds its own probe qubit, so Alice measures it
+once for all of its points or cutoffs.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ class SweepRecord:
     flags: tuple[str, ...] = ()
 
 
-# fixed, symmetric probe input for simulated sweep points
-_SWEEP_QUBIT = teleport.DualRailQubit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+# amplitude of the fixed, symmetric probe input (|0L> + |1L>) / sqrt(2)
+_PROBE_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
 
 def _evaluate_point(
@@ -105,6 +107,7 @@ def _evaluate_point(
     mode: str,
     epsilon: float,
     max_cutoff: int,
+    probe: teleport.DualRailQubit,
 ) -> SweepRecord:
     mass = channel.radius_to_mass(radius)
     try:
@@ -129,7 +132,7 @@ def _evaluate_point(
         return SweepRecord(
             radius, omega, mass, params.r_squeeze, analytic, flags=("cutoff-capped",)
         )
-    run = teleport.run_protocol(params, _SWEEP_QUBIT, n_max)
+    run = teleport.run_protocol(params, probe, n_max)
     return SweepRecord(
         radius,
         omega,
@@ -157,7 +160,9 @@ def sweep(
     would exceed ``max_cutoff`` fall back to analytic-only records flagged
     "cutoff-capped" rather than aborting the sweep.  ``channel.check_budget``
     refuses an ``epsilon`` or ``max_cutoff`` out of range before any point
-    runs.
+    runs.  Every simulated point runs the same probe input, (|0L> + |1L>)
+    / sqrt(2), built once per call, so Alice's measurement of it is computed
+    once for the whole sweep.
 
     ``workers`` is the number of threads (None or 0 means one: the points
     run in turn on the calling thread).  Two or more run the points on a
@@ -169,12 +174,13 @@ def sweep(
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     channel.check_budget(epsilon, max_cutoff)
+    probe = teleport.DualRailQubit(_PROBE_AMPLITUDE, _PROBE_AMPLITUDE)
 
     omegas = grid.omega_values().tolist()
     points = [(radius, omega) for radius in grid.radius_values().tolist() for omega in omegas]
 
     def evaluate(point: tuple[float, float]) -> SweepRecord:
-        return _evaluate_point(point[0], point[1], mode, epsilon, max_cutoff)
+        return _evaluate_point(point[0], point[1], mode, epsilon, max_cutoff, probe)
 
     if not workers or workers == 1:
         return [evaluate(p) for p in points]
@@ -202,9 +208,10 @@ def convergence_report(
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly ascending, got {cutoffs}")
 
+    probe = teleport.DualRailQubit(_PROBE_AMPLITUDE, _PROBE_AMPLITUDE)
     analytic = teleport.fidelity_analytic(params)
     rows = []
     for n_max in cutoffs:
-        run = teleport.run_protocol(params, _SWEEP_QUBIT, n_max)
+        run = teleport.run_protocol(params, probe, n_max)
         rows.append((n_max, abs(run.fidelity - analytic), run.loss))
     return rows

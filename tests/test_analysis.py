@@ -13,6 +13,7 @@ from horizon_teleport.analysis import (
     sweep,
 )
 from horizon_teleport.channel import SqueezeParams, dual_rail_tail
+from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
 
@@ -111,6 +112,19 @@ def test_sweep_with_simulation_fills_numeric_fields():
         assert abs(r.fidelity_numeric - r.fidelity_analytic) <= 1e-6
 
 
+def test_every_simulated_point_of_the_default_surface_follows_the_finite_cutoff_law():
+    # with x = tanh^2 r, each point's fidelity is (1 - x)^3 / K and its loss
+    # 1 - K at the cutoff it ran; 1 - sum p cancels to ulp noise, so the loss
+    # gate is absolute (worst measured 1.30e-15, 5.9 machine epsilons)
+    records = sweep(DEFAULT_GRID, mode="with-simulation")
+    simulated = [r for r in records if r.fidelity_numeric is not None]
+    assert len(simulated) == 1774
+    for r in simulated:
+        probability, fidelity = finite_cutoff_law(SqueezeParams(r.mass, r.omega).decay, r.n_max)
+        assert law_deviation(r.fidelity_numeric, fidelity) <= LAW_RTOL, (r.radius, r.omega)
+        assert r.truncation_loss == pytest.approx(float(1 - 4 * probability), rel=0.0, abs=2e-15)
+
+
 def test_sweep_flags_points_beyond_the_cutoff_cap():
     grid = SweepGrid(radius_min=0.5, radius_max=1.0, omega_min=0.5, omega_max=1.0)
     records = sweep(grid, mode="with-simulation", max_cutoff=2)
@@ -163,6 +177,21 @@ def test_sweep_runs_on_the_calling_thread_by_default(monkeypatch):
     for workers in (None, 0):
         sweep(SweepGrid(radius_steps=2, omega_steps=2), workers=workers)
     assert threads == {threading.get_ident()}
+
+
+def test_each_sweep_and_report_measures_its_probe_once(count_calls):
+    # Alice's four Bell projections depend on the input alone: one per
+    # outcome per sweep, not per point, and again for the next sweep
+    projections = count_calls(teleport, "project")
+    runs = count_calls(teleport, "run_protocol")
+    grid = SweepGrid(0.5, 1.0, 0.5, 1.0, radius_steps=3, omega_steps=3)
+    records = sweep(grid, mode="with-simulation", max_cutoff=40)
+    assert all(r.fidelity_numeric is not None for r in records)
+    assert (len(projections), len(runs)) == (4, 9)
+    sweep(grid, mode="with-simulation", max_cutoff=40)
+    assert (len(projections), len(runs)) == (8, 18)
+    convergence_report(SqueezeParams.from_tanh(0.5), [5, 10, 20, 30])
+    assert (len(projections), len(runs)) == (12, 22)
 
 
 def test_sweep_validation():

@@ -9,11 +9,12 @@ import shlex
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from horizon_teleport import cli
+from horizon_teleport import cli, teleport
 from horizon_teleport.channel import SqueezeParams
 from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
 from horizon_teleport.teleport import fidelity_analytic
@@ -129,6 +130,16 @@ def test_simulate_matches_the_closed_form(capsys):
     assert float(summary["fidelity_analytic"]) == pytest.approx(HIGH_CORNER, abs=1e-12)
     assert float(summary["abs_deviation"]) <= 1e-6
     assert int(summary["n_max"]) >= 1
+
+
+def test_simulate_measures_its_input_once_per_outcome(count_calls, capsys):
+    projections = count_calls(teleport, "project")
+    argv = ["simulate", "--mass", "1", "--omega", "0.11", "--alpha-re", "0.6", "--beta-im", "0.8"]
+    assert run_cli(argv) == 0
+    assert len(projections) == 4
+    assert run_cli(argv) == 0  # the same input again is a new qubit
+    assert len(projections) == 8
+    capsys.readouterr()
 
 
 def test_simulate_reported_loss_stays_within_epsilon(capsys):
@@ -379,19 +390,34 @@ def test_cutoff_beyond_physical_memory_exits_1(capsys):
     assert "physical memory" in err
 
 
-def test_converge_runs_near_the_divergence(capsys):
-    # M Omega = 1e-7, tanh r = 1 - 6e-7: cutoffs in the millions keep most
-    # of Bob's state, and F (1 - loss) is the closed form, so the error
-    # against it is F_closed loss / (1 - loss)
-    argv = ["converge", "--mass", "1e-3", "--omega", "1e-4", "--cutoffs", "2000000,4000000"]
-    assert run_cli(argv) == 0
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--tanh-r", "0.5", "--cutoffs", "5,10,20,30"], SqueezeParams.from_tanh(0.5)),
+        # M Omega = 1e-7, tanh r = 1 - 6e-7: cutoffs in the millions keep
+        # most of Bob's state
+        (["--mass", "1e-3", "--omega", "1e-4", "--cutoffs", "2000000,4000000"], SqueezeParams(1e-3, 1e-4)),
+    ],
+)
+def test_converge_error_is_the_closed_form_times_the_lost_odds(capsys, argv, params):
+    # with K = 1 - L the weight a branch keeps, the run reports F / K, so
+    # its error against the closed form F is F L / (1 - L); worst measured
+    # 15.8 ulp(F), at the divergent point.  The loss column is 1 - sum p,
+    # which cancels to ulp noise, so its gate is absolute (worst measured
+    # 2.19e-15, 9.8 machine epsilons, at cutoff 4000000)
+    assert run_cli(["converge", *argv]) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     assert header == list(CONVERGE_COLUMNS)
-    assert [int(row[0]) for row in rows] == [2000000, 4000000]
-    closed = fidelity_analytic(SqueezeParams(1e-3, 1e-4))
-    for _, abs_error, loss in rows:
-        expected = float(loss) / (1.0 - float(loss))
-        assert float(abs_error) / closed == pytest.approx(expected, rel=1e-12, abs=0.0)
+    cutoffs = [int(c) for c in argv[-1].split(",")]
+    assert [int(row[0]) for row in rows] == cutoffs
+    closed = fidelity_analytic(params)
+    for n_max, abs_error, loss in rows:
+        probability, _ = finite_cutoff_law(params.decay, int(n_max))
+        lost = 1 - 4 * probability
+        assert float(loss) == pytest.approx(float(lost), rel=0.0, abs=4e-15), n_max
+        expected = Decimal(closed) * lost / (1 - lost)
+        deviation = abs(Decimal(float(abs_error)) - expected)
+        assert deviation <= LAW_RTOL * closed + math.ulp(closed), n_max
 
 
 def test_converge_names_the_cutoff_when_every_outcome_is_degenerate(capsys):

@@ -428,61 +428,26 @@ def test_probabilities_complete_up_to_truncation_loss():
         assert total + loss == pytest.approx(1.0, abs=1e-10)
 
 
-# squeezing drawn two ways: tanh r up to 0.999 through from_tanh, and (M,
-# Omega) log-uniform over [1e-2, 1e2]^2 (M Omega >= 1e-4, tanh r <= 0.99938),
-# whose tanh r carries the rounding of a generic exp(-2 pi M Omega)
+# squeezing drawn two ways: tanh r up to 1 - 1e-7 through from_tanh, and
+# (M, Omega) log-uniform over [1e-2, 1e2]^2 (M Omega >= 1e-4, tanh r <=
+# 0.99938), whose tanh r carries the rounding of a generic exp(-2 pi M Omega)
 _SQUEEZINGS = st.one_of(
-    st.floats(0.0, 0.999).map(SqueezeParams.from_tanh),
+    st.floats(0.0, 1.0 - 1e-7).map(SqueezeParams.from_tanh),
     st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
         lambda exponents: SqueezeParams(10.0 ** exponents[0], 10.0 ** exponents[1])
     ),
 )
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    params=_SQUEEZINGS,
-    n_max=st.integers(1, 2000),
-    theta=st.floats(0.0, math.pi),
-    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
-)
-@example(params=SqueezeParams.from_tanh(0.999), n_max=1, theta=1.0, phases=(0.5, 2.0))
-@example(params=SqueezeParams(0.01, 0.01), n_max=2000, theta=1.0, phases=(0.5, 2.0))
-def test_every_outcome_has_the_predicted_probability_and_fidelity(params, n_max, theta, phases):
-    # each outcome carries a quarter of the kept weight, and its fidelity,
-    # scaled by that weight, is the closed form, for any input qubit
-    qubit = DualRailQubit(
-        math.cos(theta / 2) * complex(math.cos(phases[0]), math.sin(phases[0])),
-        math.sin(theta / 2) * complex(math.cos(phases[1]), math.sin(phases[1])),
-    )
-    kept = 1.0 - dual_rail_tail(params, n_max)
-    # the same weight as the product of the two rails' partial Schmidt sums,
-    # (1 - x) sum_{m <= n_max} x^m and (1 - x)^2 sum_{m < n_max} (m + 1) x^m
-    # with x^m = exp(-4 pi M Omega m): 1 - dual_rail_tail cancels to about
-    # 1e-9 relative when little is kept (tanh r 0.999 at cutoff 1 keeps 1.6e-8)
-    powers = np.exp(-4.0 * math.pi * params.mass * params.frequency * np.arange(n_max + 1))
-    m = np.arange(n_max)
-    kept_sums = params.sech2_r**3 * float(np.sum(powers)) * float(np.sum((m + 1) * powers[:-1]))
-    target = fidelity_analytic(params)
-    for o in run_protocol(params, qubit, n_max).outcomes:
-        assert o.flags == ()
-        assert o.probability == pytest.approx(kept / 4, abs=1e-13)
-        assert o.fidelity * kept_sums == pytest.approx(target, rel=1e-13, abs=0.0)
-
-
 @settings(deadline=None, max_examples=200)
-@given(
-    tanh_r=st.floats(0.0, 1.0 - 1e-7),
-    n_max=st.integers(1, 10**5),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(tanh_r=1.0 - 1e-7, n_max=10**5, seed=0)
-@example(tanh_r=1.0 - 1e-7, n_max=1, seed=0)
-@example(tanh_r=0.0, n_max=1, seed=0)
-def test_every_outcome_follows_the_finite_cutoff_law(tanh_r, n_max, seed):
+@given(params=_SQUEEZINGS, n_max=st.integers(1, 10**5), seed=st.integers(0, 2**32 - 1))
+@example(params=SqueezeParams.from_tanh(1.0 - 1e-7), n_max=10**5, seed=0)
+@example(params=SqueezeParams.from_tanh(1.0 - 1e-7), n_max=1, seed=0)
+@example(params=SqueezeParams.from_tanh(0.0), n_max=1, seed=0)
+@example(params=SqueezeParams(0.01, 0.01), n_max=2000, seed=0)
+def test_every_outcome_follows_the_finite_cutoff_law(params, n_max, seed):
     # p = K / 4 and F = (1 - x)^3 / K exactly, for any input; a run raises
     # where the law puts p below DEGENERATE_PROBABILITY
-    params = SqueezeParams.from_tanh(tanh_r)
     probability, fidelity = finite_cutoff_law(params.decay, n_max)
     # off the rounding edge of the refusal
     assume(law_deviation(DEGENERATE_PROBABILITY, probability) > 1e-9)
@@ -492,8 +457,33 @@ def test_every_outcome_follows_the_finite_cutoff_law(tanh_r, n_max, seed):
             run_protocol(params, qubit, n_max)
         return
     for o in run_protocol(params, qubit, n_max).outcomes:
+        assert o.flags == ()
         assert law_deviation(o.probability, probability) <= LAW_RTOL, o.label
         assert law_deviation(o.fidelity, fidelity) <= LAW_RTOL, o.label
+
+
+def _run_or_refusal(params, qubit, n_max):
+    try:
+        return repr(run_protocol(params, qubit, n_max))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_a_qubit_reused_across_runs_reports_what_a_fresh_one_does():
+    # a qubit keeps Alice's measurement from its first run; every later run
+    # on other squeezing and cutoffs must print as a run on a new, equal qubit
+    rng = np.random.default_rng(23)
+    qubit = _seeded_qubit(23)
+    refusals = 0
+    for _ in range(200):
+        # 1 - tanh r log-uniform over [1e-7, 1]: the cutoffs keep all to none
+        params = SqueezeParams.from_tanh(1.0 - 10.0 ** -float(rng.uniform(0.0, 7.0)))
+        n_max = int(rng.integers(1, 3000))
+        reused = _run_or_refusal(params, qubit, n_max)
+        fresh = _run_or_refusal(params, DualRailQubit(qubit.alpha, qubit.beta), n_max)
+        assert reused == fresh
+        refusals += reused.startswith("ValueError")
+    assert 0 < refusals < 200
 
 
 def test_generic_point_keeps_the_predicted_weight():
