@@ -12,16 +12,17 @@ grid, and ``converge`` tabulates simulation error against the cutoff.
 their range.  ``simulate`` prints the outcomes, fidelity and loss of one
 ``teleport.run_protocol`` call.  The sweep's grid flags and their defaults
 come from ``analysis.DEFAULT_GRID``.  Every command prints through one
-writer, ``_write_rows``: a row is a record's dataclass fields (``SweepRecord``,
-``TeleportOutcome``), its flags joined by ";", so the field names are both
-the CSV columns and the JSON keys.
+writer, ``_write_rows``: a row is a record's NamedTuple fields
+(``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), its flags joined
+by ";", so the field names are both the CSV columns and the JSON keys.
 
-Exit codes: 0 success, 1 validation failure (including a cutoff whose run
-would not fit in physical memory), 2 divergent squeezing, 3 infeasible
-cutoff.  Output formats are deterministic byte for byte: floats carry 17
-significant digits and lines end with LF.  ``HORIZON_TELEPORT_THREADS``
-sets how many threads a sweep uses (0 or unset: one, the calling thread);
-the output does not depend on the thread count.
+Exit codes: 0 success, 1 validation failure (including a cutoff or a sweep
+grid that would not fit in physical memory), 2 divergent squeezing, 3
+infeasible cutoff.  Output formats are deterministic byte for byte: floats
+carry 17 significant digits and lines end with LF.
+``HORIZON_TELEPORT_THREADS`` sets how many threads a sweep uses (0 or
+unset: one, the calling thread); the output does not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ import sys
 
 from . import analysis, channel, teleport
 
-__all__ = ["main", "entry", "SWEEP_COLUMNS", "CONVERGE_COLUMNS"]
-
-SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(analysis.SweepRecord))
-
-CONVERGE_COLUMNS = ("n_max", "abs_error", "truncation_loss")
+__all__ = ["main", "entry"]
 
 THREADS_ENV = "HORIZON_TELEPORT_THREADS"
 
@@ -76,18 +73,19 @@ class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def _write_rows(rows: list[dict], fh, fmt: str, summary: dict | None = None) -> None:
-    """Write ``rows``, dicts keyed by column (a record's ``vars``), as CSV
-    or as a JSON list.
+def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) -> None:
+    """Write ``rows``, NamedTuple records of one type, as CSV or as a JSON
+    list.
 
     A tuple value, a record's flags, prints joined by ";".  CSV takes its
-    header from the first row's keys, prints floats with 17 significant
-    digits (enough to round-trip any double) and None as an empty cell, and
-    follows the rows with one ``# key=value`` line per ``summary`` item.
-    JSON nests the rows under "outcomes" beside the ``summary`` keys.
+    header from the first record's ``_fields``, prints floats with 17
+    significant digits (enough to round-trip any double) and None as an
+    empty cell, and follows the rows with one ``# key=value`` line per
+    ``summary`` item.  JSON writes each record's ``_asdict()`` and nests the
+    rows under "outcomes" beside the ``summary`` keys.
     """
     if fmt == "json":
-        rows = [{k: ";".join(v) if isinstance(v, tuple) else v for k, v in row.items()} for row in rows]
+        rows = [{k: ";".join(v) if isinstance(v, tuple) else v for k, v in r._asdict().items()} for r in rows]
         json.dump(rows if summary is None else {"outcomes": rows, **summary}, fh, indent=2)
         fh.write("\n")
         return
@@ -105,8 +103,8 @@ def _write_rows(rows: list[dict], fh, fmt: str, summary: dict | None = None) -> 
         ]
 
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(rows[0]))
-    writer.writerows(cells(row.values()) for row in rows)
+    writer.writerow(rows[0]._fields)
+    writer.writerows(cells(row) for row in rows)
     if summary:
         for key, cell in zip(summary, cells(summary.values())):
             fh.write(f"# {key}={cell}\n")
@@ -131,14 +129,8 @@ def _cmd_fidelity(args) -> int:
     radius, mass = _resolve_geometry(args)
     omega = _require_positive(args.omega, "--omega")
     params = channel.SqueezeParams(mass, omega)
-    record = analysis.SweepRecord(
-        radius=radius,
-        omega=omega,
-        mass=mass,
-        r_squeeze=params.r_squeeze,
-        fidelity_analytic=teleport.fidelity_analytic(params),
-    )
-    _write_rows([vars(record)], sys.stdout, args.format)
+    record = analysis.SweepRecord(radius, omega, mass, params.r_squeeze, teleport.fidelity_analytic(params))
+    _write_rows([record], sys.stdout, args.format)
     return 0
 
 
@@ -167,7 +159,7 @@ def _cmd_simulate(args) -> int:
         "n_max": n_max,
         "truncation_loss": loss,
     }
-    _write_rows([vars(o) for o in outcomes], sys.stdout, args.format, summary)
+    _write_rows(outcomes, sys.stdout, args.format, summary)
     return 0
 
 
@@ -196,7 +188,7 @@ def _cmd_sweep(args) -> int:
         workers=_sweep_workers(),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_rows([vars(r) for r in records], fh, args.format)
+        _write_rows(records, fh, args.format)
     return 0
 
 
@@ -213,8 +205,7 @@ def _cmd_converge(args) -> int:
         params = channel.SqueezeParams(mass, omega)
 
     cutoffs = [int(piece) for piece in args.cutoffs.split(",") if piece.strip()]
-    report = analysis.convergence_report(params, cutoffs)
-    rows = [dict(zip(CONVERGE_COLUMNS, row)) for row in report]
+    rows = analysis.convergence_report(params, cutoffs)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
         _write_rows(rows, fh, "csv")

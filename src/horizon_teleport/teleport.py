@@ -143,8 +143,7 @@ class DualRailQubit:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
+class TeleportOutcome(NamedTuple):
     """One Bell result: its probability and the post-correction fidelity.
 
     ``flags`` is always empty: every outcome carries a quarter of the

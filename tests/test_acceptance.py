@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from horizon_teleport import cli
-from horizon_teleport.analysis import DEFAULT_GRID, sweep
+from horizon_teleport.analysis import DEFAULT_GRID, SweepRecord, sweep
 from horizon_teleport.channel import SqueezeParams, dual_rail_tail, required_cutoff
 from horizon_teleport.teleport import DualRailQubit, fidelity_analytic, run_protocol
 from oracles import RegionPair, dense_protocol, embed_one, embed_zero, inner, thermal_reduced
@@ -223,14 +223,14 @@ def test_sweep_output_is_deterministic_and_format_equivalent(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
     lines = first.read_text().splitlines()
-    assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+    assert lines[0] == ",".join(SweepRecord._fields)
     entries = json.loads(as_json.read_text())
     assert len(entries) == len(lines) - 1 == 30
 
     simulated = 0
     for line, entry in zip(lines[1:], entries):
-        cells = dict(zip(cli.SWEEP_COLUMNS, line.split(",")))
-        for field in cli.SWEEP_COLUMNS:
+        cells = dict(zip(SweepRecord._fields, line.split(",")))
+        for field in SweepRecord._fields:
             cell, value = cells[field], entry[field]
             if field == "flags":
                 assert cell == value

@@ -203,7 +203,29 @@ def test_sweep_validation():
         sweep(corner_grid(), max_cutoff=0)
 
 
+def test_grid_beyond_physical_memory_is_refused_before_its_axes(monkeypatch):
+    # 10^13 points at 4 KB each; the radius axis alone would be 800 MB
+    def built(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(SweepGrid, "_axis", staticmethod(built))
+    grid = SweepGrid(radius_steps=10**8, omega_steps=10**5)
+    with pytest.raises(ValueError, match=r"100000000 x 100000 grid \(10000000000000 points\)"):
+        sweep(grid)
+    with pytest.raises(ValueError, match="physical memory"):
+        sweep(grid, mode="with-simulation", workers=2)
+
+
 # ---------------------------------------------------------------- convergence
+
+
+def test_convergence_rows_read_by_name_and_unpack_as_triples():
+    rows = convergence_report(SqueezeParams.from_tanh(0.5), [5, 10])
+    assert [type(row) for row in rows] == [analysis.ConvergenceRow] * 2
+    for row, cutoff in zip(rows, [5, 10]):
+        n_max, error, loss = row
+        assert (row.n_max, row.abs_error, row.truncation_loss) == (n_max, error, loss)
+        assert n_max == cutoff and 0.0 < error < loss
 
 
 def test_convergence_report_flat_is_exact():

@@ -8,15 +8,16 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from horizon_teleport import cli, teleport
+from horizon_teleport import analysis, cli, teleport
 from horizon_teleport.channel import SqueezeParams
-from horizon_teleport.cli import CONVERGE_COLUMNS, SWEEP_COLUMNS
 from horizon_teleport.teleport import fidelity_analytic
 from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
 
@@ -52,7 +53,7 @@ def parse_summary_comments(text):
 def test_fidelity_prints_one_record(capsys):
     assert run_cli(["fidelity", "--radius", "1", "--omega", "1"]) == 0
     header, rows = parse_csv(capsys.readouterr().out)
-    assert header == list(SWEEP_COLUMNS)
+    assert header == list(analysis.SweepRecord._fields)
     assert len(rows) == 1
     record = dict(zip(header, rows[0]))
     assert float(record["radius"]) == 1.0
@@ -78,7 +79,7 @@ def test_fidelity_json_matches_csv(capsys):
 
     assert run_cli(["fidelity", "--radius", "0.25", "--omega", "0.5", "--format", "json"]) == 0
     (entry,) = json.loads(capsys.readouterr().out)
-    assert set(entry) == set(SWEEP_COLUMNS)
+    assert set(entry) == set(analysis.SweepRecord._fields)
     for field in ("radius", "omega", "mass", "r_squeeze", "fidelity_analytic"):
         assert float(record[field]) == entry[field]
     assert entry["fidelity_numeric"] is None and record["fidelity_numeric"] == ""
@@ -228,7 +229,7 @@ def test_sweep_default_grid_rows_and_determinism(tmp_path):
     assert data == second.read_bytes()
     assert b"\r" not in data
     lines = data.decode("ascii").split("\n")
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ",".join(analysis.SweepRecord._fields)
     assert len(lines) == 1 + 2500 + 1  # header + records + trailing LF
 
 
@@ -249,7 +250,7 @@ def test_sweep_csv_and_json_carry_identical_values(tmp_path):
     assert len(rows) == len(entries) == 6
     for row, entry in zip(rows, entries):
         record = dict(zip(header, row))
-        for field in SWEEP_COLUMNS:
+        for field in analysis.SweepRecord._fields:
             cell, value = record[field], entry[field]
             if field == "flags":
                 assert cell == value
@@ -344,13 +345,41 @@ def test_sweep_refuses_an_infinite_edge(tmp_path, capsys, edge):
     assert "finite" in capsys.readouterr().err
 
 
+def test_sweep_beyond_physical_memory_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(analysis.SweepGrid, "_axis", staticmethod(built))
+    out = tmp_path / "o.csv"
+    argv = ["sweep", "--radius-steps", "100000000", "--omega-steps", "2", "--out", str(out)]
+    assert run_cli(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "100000000 x 2 grid (200000000 points)" in err
+    assert "physical memory" in err
+
+
+def test_sweep_memory_preflight_bounds_the_measured_peak(tmp_path, monkeypatch):
+    # the whole command on a 200 x 200 grid, on its costliest path: a
+    # future per point on the thread pool, then a dict per record for JSON
+    monkeypatch.setenv(cli.THREADS_ENV, "2")
+    argv = ["sweep", "--radius-steps", "200", "--omega-steps", "200", "--format", "json"]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= analysis._PEAK_BYTES_PER_POINT * 200 * 200, peak
+
+
 # ---------------------------------------------------------------- converge
 
 
 def test_converge_table_on_stdout(capsys):
     assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "5,10,20,30"]) == 0
     header, rows = parse_csv(capsys.readouterr().out)
-    assert header == list(CONVERGE_COLUMNS)
+    assert header == list(analysis.ConvergenceRow._fields)
     assert [int(r[0]) for r in rows] == [5, 10, 20, 30]
     errors = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -407,7 +436,7 @@ def test_converge_error_is_the_closed_form_times_the_lost_odds(capsys, argv, par
     # 2.19e-15, 9.8 machine epsilons, at cutoff 4000000)
     assert run_cli(["converge", *argv]) == 0
     header, rows = parse_csv(capsys.readouterr().out)
-    assert header == list(CONVERGE_COLUMNS)
+    assert header == list(analysis.ConvergenceRow._fields)
     cutoffs = [int(c) for c in argv[-1].split(",")]
     assert [int(row[0]) for row in rows] == cutoffs
     closed = fidelity_analytic(params)
@@ -441,16 +470,51 @@ def test_converge_validation_exit_codes(capsys):
 # ---------------------------------------------------------------- shared contract
 
 
+class _Row(NamedTuple):
+    x: object
+    flags: tuple
+
+
 def test_csv_cells_follow_each_value_even_where_values_repeat():
     # the writer formats each repeated float once; 0.0 and -0.0 compare
     # equal yet print apart, None prints as an empty cell and flags joined
     values = (0.0, -0.0, 0.0, 0.1, -0.0, 0.1, None, math.nan, 3)
     out = io.StringIO()
-    cli._write_rows([{"x": v, "flags": ("a", "b")[: i % 3]} for i, v in enumerate(values)], out, "csv")
+    cli._write_rows([_Row(v, ("a", "b")[: i % 3]) for i, v in enumerate(values)], out, "csv")
     assert out.getvalue().split("\n") == [
         "x,flags", "0,", "-0,a", "0,a;b", "0.10000000000000001,", "-0,a",
         "0.10000000000000001,a;b", ",", "nan,a", "3,a;b", "",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        (["fidelity", "--radius", "1", "--omega", "1"], analysis.SweepRecord),
+        (["simulate", "--mass", "1", "--omega", "0.11"], teleport.TeleportOutcome),
+        (["sweep", "--radius-steps", "2", "--omega-steps", "2"], analysis.SweepRecord),
+        (["converge", "--tanh-r", "0.5", "--cutoffs", "5,10"], analysis.ConvergenceRow),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value.__name__,
+)
+def test_columns_are_the_record_fields(tmp_path, capsys, argv, record):
+    # a row is its record: the CSV header and the JSON keys are _fields
+    out = tmp_path / "out"
+    to_file = ["--out", str(out)] if argv[0] == "sweep" else []
+
+    def written(fmt):
+        assert run_cli(argv + to_file + (["--format", fmt] if fmt == "json" else [])) == 0
+        stdout = capsys.readouterr().out
+        return out.read_text() if to_file else stdout
+
+    header, _ = parse_csv(written("csv"))
+    assert tuple(header) == record._fields
+    if argv[0] == "converge":  # CSV only
+        return
+    entries = json.loads(written("json"))
+    if argv[0] == "simulate":
+        entries = entries["outcomes"]
+    assert all(tuple(entry) == record._fields for entry in entries)
 
 
 def _readme_examples():
@@ -588,4 +652,4 @@ def test_module_entry_point_runs():
         text=True,
     )
     assert result.returncode == 0
-    assert result.stdout.startswith(",".join(SWEEP_COLUMNS[:3]))
+    assert result.stdout.startswith(",".join(analysis.SweepRecord._fields[:3]))

@@ -4,7 +4,8 @@ the tail weights, so that ``required_cutoff`` stays the one cutoff rule.
 One run path: the commands reach the protocol through one
 ``run_protocol`` call each, only ``teleport`` sums outcome probabilities,
 and only ``channel`` holds the truncation budget to its range.  One row
-writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only.
+writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only,
+and hands it the records as they are, never a dict built from one.
 One horizon law: only ``SqueezeParams.decay`` and its inverse
 ``from_tanh`` read pi."""
 
@@ -189,3 +190,20 @@ def test_the_horizon_law_is_stated_once():
         for scope in _scopes_reading_pi(ast.parse(path.read_text(), filename=str(path)), path.stem)
     )
     assert reads == ["channel.SqueezeParams.decay", "channel.SqueezeParams.from_tanh"]
+
+
+def test_the_cli_builds_no_row_dict():
+    # a row is its record: the writer reads _fields and _asdict(), so no
+    # command copies a record's __dict__ or zips a column list
+    found = [
+        f"{node.lineno}: {node.func.id}"
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and (
+            node.func.id == "vars"
+            or node.func.id == "dict"
+            and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "zip" for arg in node.args)
+        )
+    ]
+    assert found == []
