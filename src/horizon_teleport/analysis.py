@@ -13,6 +13,8 @@ once for all of its points or cutoffs.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ __all__ = [
     "SweepRecord",
     "ConvergenceRow",
     "DEFAULT_GRID",
+    "GRID_LIMIT",
     "SWEEP_MODES",
     "sweep",
     "convergence_report",
@@ -34,11 +37,14 @@ __all__ = [
 
 SWEEP_MODES = ("analytic-only", "with-simulation")
 
+# the most points a grid takes: a sweep holds about 500 B a point, 1 GB in all
+GRID_LIMIT = 2**21
+
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Rectangular (radius, omega) grid, log-spaced on both axes between
-    finite, positive edges.
+    finite, positive edges, of at most ``GRID_LIMIT`` points.
 
     Defaults reproduce the published fidelity surface: radius from 1e-4 to
     1 and frequency from 1e-3 to 1, 50 steps each (the ranges span four and
@@ -64,6 +70,10 @@ class SweepGrid:
         for steps, name in ((self.radius_steps, "radius"), (self.omega_steps, "omega")):
             if steps < 2:
                 raise ValueError(f"{name}_steps must be >= 2, got {steps}")
+        size = self.radius_steps * self.omega_steps
+        if size > GRID_LIMIT:
+            shape = f"{self.radius_steps} x {self.omega_steps}"
+            raise ValueError(f"a {shape} grid ({size} points) is above the limit of {GRID_LIMIT} points")
 
     @staticmethod
     def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -109,19 +119,9 @@ class ConvergenceRow(NamedTuple):
 # amplitude of the fixed, symmetric probe input (|0L> + |1L>) / sqrt(2)
 _PROBE_AMPLITUDE = 1.0 / math.sqrt(2.0)
 
-# tracemalloc peak of a sweep command per grid point, its records and
-# output included: measured 264 (CSV) and 481 (JSON) bytes on one thread,
-# 1.9 KB on a thread pool, which holds a future per point
-_PEAK_BYTES_PER_POINT = 4096
-
 
 def _evaluate_point(
-    radius: float,
-    omega: float,
-    mode: str,
-    epsilon: float,
-    max_cutoff: int,
-    probe: teleport.DualRailQubit,
+    mode: str, epsilon: float, max_cutoff: int, probe: teleport.DualRailQubit, radius: float, omega: float
 ) -> SweepRecord:
     mass = channel.radius_to_mass(radius)
     try:
@@ -155,42 +155,31 @@ def sweep(
     would exceed ``max_cutoff`` fall back to analytic-only records flagged
     "cutoff-capped" rather than aborting the sweep.  ``channel.check_budget``
     refuses an ``epsilon`` or ``max_cutoff`` out of range before any point
-    runs, and a grid whose records would not fit in physical memory is
-    refused with ``ValueError`` before its axes are built.  Every simulated
-    point runs the same probe input, (|0L> + |1L>) / sqrt(2), built once
-    per call, so Alice's measurement of it is computed once for the whole
-    sweep.
+    runs.  Every simulated point runs the same probe input, (|0L> + |1L>) /
+    sqrt(2), built once per call, so Alice's measurement of it is computed
+    once for the whole sweep.
 
-    ``workers`` is the number of threads (None or 0 means one: the points
-    run in turn on the calling thread).  Two or more run the points on a
-    thread pool, which pays only where numpy releases the interpreter lock
-    for long stretches; at the default sizes one thread is faster.  Grid
-    points are independent pure functions and results are ordered by grid
-    index, so the output is identical for any worker count.
+    ``workers`` is the number of threads (None, 0 or 1 means one: the
+    points run in turn on the calling thread).  Two or more run each radius
+    row on a thread pool, which holds one row of futures at a time and pays
+    only where numpy releases the interpreter lock for long stretches; at
+    the default sizes one thread is faster.  Grid points are independent
+    pure functions and results are ordered by grid index, so the output is
+    identical for any worker count.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     channel.check_budget(epsilon, max_cutoff)
-    size = grid.radius_steps * grid.omega_steps
-    needed = _PEAK_BYTES_PER_POINT * size
-    if needed > teleport._PHYSICAL_BYTES:
-        raise ValueError(
-            f"a {grid.radius_steps} x {grid.omega_steps} grid ({size} points) needs about "
-            f"{needed / 1e9:.3g} GB, more than the {teleport._PHYSICAL_BYTES / 1e9:.3g} GB "
-            "of physical memory"
-        )
     probe = teleport.DualRailQubit(_PROBE_AMPLITUDE, _PROBE_AMPLITUDE)
 
     omegas = grid.omega_values().tolist()
-    points = [(radius, omega) for radius in grid.radius_values().tolist() for omega in omegas]
-
-    def evaluate(point: tuple[float, float]) -> SweepRecord:
-        return _evaluate_point(point[0], point[1], mode, epsilon, max_cutoff, probe)
-
-    if not workers or workers == 1:
-        return [evaluate(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, points))
+    pool = ThreadPoolExecutor(workers) if workers is not None and workers > 1 else None
+    records: list[SweepRecord] = []
+    with pool or contextlib.nullcontext():
+        for radius in grid.radius_values().tolist():
+            row = functools.partial(_evaluate_point, mode, epsilon, max_cutoff, probe, radius)
+            records.extend(pool.map(row, omegas) if pool else map(row, omegas))
+    return records
 
 
 def convergence_report(

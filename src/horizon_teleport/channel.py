@@ -20,11 +20,12 @@ truncation budget: ``check_budget`` holds a budget epsilon to (0,
 EPSILON_MAX] and a cutoff cap to at least 1 (CUTOFF_CAP by default), and
 ``required_cutoff`` picks the cutoff whose dual-rail tail, the loss a
 protocol run reports, is within epsilon.  The images are supported on
-|m, m> and |m+1, m> (region I, region II); their amplitudes by region-II
-occupation m (``_schmidt_coefficients``) are all that the protocol in
-``teleport`` reads.  The dense embeddings that spread them over the
-truncated pair space (``embed_zero``, ``embed_one``, ``embed_dual_rail``,
-``thermal_reduced``) are test references and live in ``tests/oracles.py``.
+|m, m> and |m+1, m> (region I, region II); the protocol in ``teleport``
+reads only the squared norms of their amplitudes by region-II occupation m
+and the amplitudes at m = 0 (``_schmidt_norms``).  The dense embeddings
+that spread them over the truncated pair space (``embed_zero``,
+``embed_one``, ``embed_dual_rail``, ``thermal_reduced``) are test
+references and live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,14 +45,19 @@ __all__ = [
     "EPSILON_DEFAULT",
     "EPSILON_MAX",
     "CUTOFF_CAP",
+    "CUTOFF_LIMIT",
 ]
 
 # the truncation budget: epsilon lies in (0, EPSILON_MAX], EPSILON_DEFAULT
-# unless a caller gives one, and no cutoff above the cap is chosen; 10^5
-# levels hold about 6.4 MB of Bob's state
+# unless a caller gives one, and no cutoff above the cap is chosen
 EPSILON_DEFAULT = 1e-10
 EPSILON_MAX = 0.1
 CUTOFF_CAP = 100000
+
+# the largest cutoff a run takes, about 2 s: it sums Bob's norms in blocks
+# of _BLOCK levels, so its memory, 100 MB at most, does not grow with n_max
+CUTOFF_LIMIT = 2**27
+_BLOCK = 2**22
 
 
 class DivergentSqueezing(Exception):
@@ -145,19 +151,18 @@ def radius_to_mass(horizon_radius: float) -> float:
 
 
 def _schmidt_coefficients(
-    params: SqueezeParams, n_max: int
+    params: SqueezeParams, n_max: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of the vacuum and one-photon embeddings by region-II
-    occupation m = 0..n_max.
+    """Amplitudes of the vacuum and one-photon embeddings at cutoff n_max
+    by region-II occupation m = start..stop - 1.
 
     The vacuum embedding puts tanh^m r / cosh r on |m, m>_(I, II) and the
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
     """
-    # three arrays: the levels (reused for the photon rail), the powers and
-    # the vacuum rail; every other pass runs in place, which at a large
-    # cutoff saves a quarter of the time and 16 bytes per level
-    m = np.arange(n_max + 1.0)
+    # three arrays, the levels (reused for the photon rail), the powers and
+    # the vacuum rail: every other pass runs in place, 16 bytes per level less
+    m = np.arange(float(start), float(stop))
     # exp(-x) underflows to 0.0 for every x above 745, so capping the decay
     # at 1e3 changes no amplitude and keeps decay * m finite: an infinite
     # decay (2 pi M Omega overflowed) would make tanh^0 r exp(-inf * 0) = NaN
@@ -168,8 +173,24 @@ def _schmidt_coefficients(
     one = np.sqrt(m, out=m)
     one *= powers
     one *= params.sech2_r
-    one[n_max] = 0.0
+    one[n_max - start :] = 0.0  # level n_max, if this range reaches it
     return zero, one
+
+
+def _schmidt_norms(params: SqueezeParams, n_max: int) -> tuple[float, float]:
+    """(norm, vacuum) of Bob's state at cutoff ``n_max``: the squared norm
+    of either branch, the product of his rails' squared norms, and the
+    product of their amplitudes at region-II vacuum.  Summed over blocks of
+    ``_BLOCK`` levels in order, so a run holds one block, about 100 MB."""
+    zero_sq = one_sq = 0.0
+    for start in range(0, n_max + 1, _BLOCK):
+        zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))
+        if not start:
+            vacuum = float(one[0]) * float(zero[0])
+        zero_sq += float(zero.dot(zero))
+        one_sq += float(one.dot(one))
+        del zero, one  # before the next block is built
+    return one_sq * zero_sq, vacuum
 
 
 def _tails(params: SqueezeParams):

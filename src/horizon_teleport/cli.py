@@ -16,13 +16,13 @@ writer, ``_write_rows``: a row is a record's NamedTuple fields
 (``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), its flags joined
 by ";", so the field names are both the CSV columns and the JSON keys.
 
-Exit codes: 0 success, 1 validation failure (including a cutoff or a sweep
-grid that would not fit in physical memory), 2 divergent squeezing, 3
-infeasible cutoff.  Output formats are deterministic byte for byte: floats
-carry 17 significant digits and lines end with LF.
-``HORIZON_TELEPORT_THREADS`` sets how many threads a sweep uses (0 or
-unset: one, the calling thread); the output does not depend on the thread
-count.
+Exit codes: 0 success, 1 validation failure (including a cutoff above
+``channel.CUTOFF_LIMIT`` or a sweep grid above ``analysis.GRID_LIMIT``
+points), 2 divergent squeezing, 3 infeasible cutoff.  Output formats are
+deterministic byte for byte: floats carry 17 significant digits and lines
+end with LF.  ``HORIZON_TELEPORT_THREADS`` sets how many threads a sweep
+uses (0 or unset: one, the calling thread); the output does not depend on
+the thread count.
 """
 
 from __future__ import annotations

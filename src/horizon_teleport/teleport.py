@@ -13,15 +13,15 @@ The protocol runs on Schmidt vectors, not on a dense resource.  Two-mode
 squeezing fixes n_I - n_II on each rail (|m, m> for the vacuum, |m+1, m>
 for one photon), and each logical branch of Bob's state is a product over
 his rails, so it is held as two 1-D vectors over the region-II occupation
-m, each with its rail's region-I offset: a run costs O(n_max).  Alice's
-input and Bell states carry one photon per dual-rail pair, so her Bell
-measurement is 2x2 linear algebra: ``fock.project`` of a row of
+m, each with its rail's region-I offset: a run costs O(n_max) time.
+Alice's input and Bell states carry one photon per dual-rail pair, so her
+Bell measurement is 2x2 linear algebra: ``fock.project`` of a row of
 ``BELL_TABLE`` onto (alpha, beta) leaves a 2-vector on her ancilla that
 weights the two branches.  The correction relabels the rails, so each
 corrected branch meets the ideal state on one entry only: where region II
-is empty.  Numpy holds only Bob's vectors and takes their squared norms;
-the rest of a run, a few scalars per outcome, is Python float and complex
-arithmetic.
+is empty.  Numpy holds Bob's vectors, one block of levels at a time, and
+takes their squared norms; the rest of a run, a few scalars per outcome,
+is Python float and complex arithmetic.
 
 Alice's half of a run depends on the input qubit alone, so it is computed
 once per ``DualRailQubit``, on the first run that reads it, and kept with
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,11 +92,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # a run raises when each outcome carries less weight than this, instead of
 # renormalizing: its cutoff has truncated almost all of Bob's state
 DEGENERATE_PROBABILITY = 1e-14
-
-# tracemalloc peak of run_protocol per cutoff level, n_max + 1 of them:
-# measured 24 to 25 bytes at n_max 10^3 to 4 10^6
-_PEAK_BYTES_PER_LEVEL = 64
-_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -193,20 +187,21 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     k ^ swap, signed when the outcome signs and that bit is 1, with
     amplitude one[0] * zero[0].  The sum has one term.
 
-    Numpy does the O(n_max) work: the Schmidt vectors and their two squared
-    norms.  The rest, per outcome a few scales, products and moduli, runs
-    on Python floats and complex numbers, which skips numpy's per-call
-    overhead and rounds exactly as numpy scalars do.  The part that reads
-    only the input (each outcome's projection weight, |scale_k|^2 and the
-    target-times-scale products) is computed once per qubit, by its first
-    run, and reused by later runs on that qubit.  It is built lazily, not
-    when the qubit is made, so the projections run inside a run, where a
-    profile charges them, and a qubit that never runs costs nothing.
+    Numpy does the O(n_max) work in ``channel._schmidt_norms``: the Schmidt
+    vectors and their two squared norms.  The rest, per outcome a few
+    scales, products and moduli, runs on Python floats and complex numbers,
+    which skips numpy's per-call overhead and rounds exactly as numpy
+    scalars do.  The part that reads only the input (each outcome's
+    projection weight, |scale_k|^2 and the target-times-scale products) is
+    computed once per qubit, by its first run, and reused by later runs on
+    that qubit.  It is built lazily, not when the qubit is made, so the
+    projections run inside a run, where a profile charges them, and a qubit
+    that never runs costs nothing.
 
     The run loses the dual-rail tail above ``n_max``, which
-    ``channel.required_cutoff`` bounds.  Time and memory are O(n_max); a
-    cutoff that would not fit in physical memory raises ``ValueError``
-    before any array is allocated.  Each row of ``BELL_TABLE`` is unitary
+    ``channel.required_cutoff`` bounds.  Time is O(n_max), memory at most
+    about 100 MB; a cutoff above ``channel.CUTOFF_LIMIT`` raises
+    ``ValueError`` before any work.  Each row of ``BELL_TABLE`` is unitary
     over sqrt(2), so every outcome's probability is a quarter of the
     retained weight; when they fall below ``DEGENERATE_PROBABILITY`` the
     cutoff has cut away almost all of Bob's state, and the run raises
@@ -214,15 +209,9 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    needed = _PEAK_BYTES_PER_LEVEL * (n_max + 1)
-    if needed > _PHYSICAL_BYTES:
-        raise ValueError(
-            f"cutoff {n_max} needs about {needed / 1e9:.3g} GB for Bob's state, "
-            f"more than the {_PHYSICAL_BYTES / 1e9:.3g} GB of physical memory"
-        )
-    zero, one = channel._schmidt_coefficients(params, n_max)
-    norm = float(one.dot(one)) * float(zero.dot(zero))  # of either branch
-    vacuum = float(one[0]) * float(zero[0])  # both rails at region-II vacuum
+    if n_max > channel.CUTOFF_LIMIT:
+        raise ValueError(f"cutoff {n_max} is above the limit of {channel.CUTOFF_LIMIT} levels")
+    norm, vacuum = channel._schmidt_norms(params, n_max)
 
     # the probabilities add in turn: sum() of floats compensates the
     # rounding from Python 3.12 on, which would move the printed loss

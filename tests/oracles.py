@@ -496,7 +496,7 @@ def embed_zero(
     """
     layout = _pair_layout(pair, n_max)
     tail = zero_tail(params, n_max)
-    coeff, _ = _schmidt_coefficients(params, n_max)
+    coeff, _ = _schmidt_coefficients(params, n_max, 0, n_max + 1)
     n = np.arange(n_max + 1)
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[n * (n_max + 1) + n] = coeff  # diagonal kets |n, n>
@@ -516,7 +516,7 @@ def embed_one(
     """
     layout = _pair_layout(pair, n_max)
     tail = one_tail(params, n_max)
-    _, coeff = _schmidt_coefficients(params, n_max)
+    _, coeff = _schmidt_coefficients(params, n_max, 0, n_max + 1)
     n = np.arange(n_max)
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[(n + 1) * (n_max + 1) + n] = coeff[:n_max]  # kets |n+1, n>

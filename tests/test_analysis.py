@@ -203,17 +203,14 @@ def test_sweep_validation():
         sweep(corner_grid(), max_cutoff=0)
 
 
-def test_grid_beyond_physical_memory_is_refused_before_its_axes(monkeypatch):
-    # 10^13 points at 4 KB each; the radius axis alone would be 800 MB
-    def built(*args):
-        raise AssertionError("an axis was built")
-
-    monkeypatch.setattr(SweepGrid, "_axis", staticmethod(built))
-    grid = SweepGrid(radius_steps=10**8, omega_steps=10**5)
-    with pytest.raises(ValueError, match=r"100000000 x 100000 grid \(10000000000000 points\)"):
-        sweep(grid)
-    with pytest.raises(ValueError, match="physical memory"):
-        sweep(grid, mode="with-simulation", workers=2)
+def test_a_grid_above_the_limit_is_refused_at_construction():
+    SweepGrid(radius_steps=analysis.GRID_LIMIT // 2, omega_steps=2)  # exactly the limit
+    limit = f"is above the limit of {analysis.GRID_LIMIT} points"
+    # GRID_LIMIT + 1 = 3 x 699051 points
+    with pytest.raises(ValueError, match=rf"3 x 699051 grid \(2097153 points\) {limit}"):
+        SweepGrid(radius_steps=3, omega_steps=(analysis.GRID_LIMIT + 1) // 3)
+    with pytest.raises(ValueError, match=rf"100000000 x 100000 grid \(10000000000000 points\) {limit}"):
+        SweepGrid(radius_steps=10**8, omega_steps=10**5)
 
 
 # ---------------------------------------------------------------- convergence

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import pytest
 
-from horizon_teleport import analysis, cli, teleport
+from horizon_teleport import analysis, channel, cli, teleport
 from horizon_teleport.channel import SqueezeParams
 from horizon_teleport.teleport import fidelity_analytic
 from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
@@ -345,32 +345,43 @@ def test_sweep_refuses_an_infinite_edge(tmp_path, capsys, edge):
     assert "finite" in capsys.readouterr().err
 
 
-def test_sweep_beyond_physical_memory_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+def test_sweep_above_the_grid_limit_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def built(*args):
         raise AssertionError("an axis was built")
 
     monkeypatch.setattr(analysis.SweepGrid, "_axis", staticmethod(built))
     out = tmp_path / "o.csv"
-    argv = ["sweep", "--radius-steps", "100000000", "--omega-steps", "2", "--out", str(out)]
-    assert run_cli(argv) == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "100000000 x 2 grid (200000000 points)" in err
-    assert "physical memory" in err
+    # GRID_LIMIT + 1 = 3 x 699051 points, and 200000000 points
+    for radius_steps, omega_steps in ((3, (analysis.GRID_LIMIT + 1) // 3), (100000000, 2)):
+        argv = ["sweep", "--radius-steps", str(radius_steps), "--omega-steps", str(omega_steps)]
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+        size = radius_steps * omega_steps
+        assert f"{radius_steps} x {omega_steps} grid ({size} points)" in capsys.readouterr().err
+        assert size > analysis.GRID_LIMIT
 
 
-def test_sweep_memory_preflight_bounds_the_measured_peak(tmp_path, monkeypatch):
-    # the whole command on a 200 x 200 grid, on its costliest path: a
-    # future per point on the thread pool, then a dict per record for JSON
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    argv = ["sweep", "--radius-steps", "200", "--omega-steps", "200", "--format", "json"]
-    tracemalloc.start()
-    try:
-        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= analysis._PEAK_BYTES_PER_POINT * 200 * 200, peak
+# a sweep command's peak memory per point, times GRID_LIMIT: the largest
+# grid fits in the 1.2 GB that the README states
+GRID_LIMIT_BYTES = 1.2e9
+
+
+def test_a_sweep_holds_the_same_memory_per_point_on_the_thread_pool(tmp_path, monkeypatch):
+    # the whole command on its costliest output, JSON, which builds a dict
+    # per record; the pool holds one row of futures, not one per point
+    argv = ["sweep", "--radius-steps", "100", "--omega-steps", "100", "--format", "json"]
+    peaks = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(cli.THREADS_ENV, threads)
+        tracemalloc.start()
+        try:
+            assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_thread, pooled = peaks
+    assert pooled <= 1.2 * one_thread, peaks
+    assert max(peaks) / 100**2 * analysis.GRID_LIMIT <= GRID_LIMIT_BYTES, peaks
 
 
 # ---------------------------------------------------------------- converge
@@ -411,12 +422,15 @@ def test_converge_accepts_mass_and_omega(capsys):
     assert len(rows) == 2
 
 
-def test_cutoff_beyond_physical_memory_exits_1(capsys):
-    # cutoff 10^12 would need 64 TB; refused before anything is allocated
-    assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "1000000000000"]) == 1
-    err = capsys.readouterr().err
-    assert "cutoff 1000000000000" in err
-    assert "physical memory" in err
+def test_cutoff_above_the_limit_exits_1(capsys, monkeypatch):
+    def summed(*args):
+        raise AssertionError("Bob's norms were summed")
+
+    monkeypatch.setattr(channel, "_schmidt_norms", summed)
+    for n_max in (channel.CUTOFF_LIMIT + 1, 10**12):
+        assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", str(n_max)]) == 1
+        err = capsys.readouterr().err
+        assert f"cutoff {n_max} is above the limit of {channel.CUTOFF_LIMIT} levels" in err
 
 
 @pytest.mark.parametrize(

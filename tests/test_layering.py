@@ -7,9 +7,13 @@ and only ``channel`` holds the truncation budget to its range.  One row
 writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only,
 and hands it the records as they are, never a dict built from one.
 One horizon law: only ``SqueezeParams.decay`` and its inverse
-``from_tanh`` read pi."""
+``from_tanh`` read pi.  No host limits: the package reads no physical
+memory size and imports where ``os.sysconf`` does not exist."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -207,3 +211,24 @@ def test_the_cli_builds_no_row_dict():
         )
     ]
     assert found == []
+
+
+def test_the_package_reads_no_host_memory_size():
+    # its limits are counts of levels and points, the same on every host
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None))
+        if isinstance(name, str) and ("sysconf" in name or "SC_PHYS_PAGES" in name)
+    ]
+    assert found == []
+
+
+def test_the_package_imports_without_os_sysconf():
+    # Windows has no os.sysconf
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import os; del os.sysconf; import horizon_teleport"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

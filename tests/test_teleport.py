@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from horizon_teleport import channel, fock, teleport
+from horizon_teleport import channel, fock
 from horizon_teleport.channel import (
     SqueezeParams,
     dual_rail_tail,
@@ -378,22 +378,46 @@ def test_protocol_memory_scales_with_the_sectors(tanh_r, limit_mb):
     assert peak < limit_mb * 1e6, peak
 
 
-def test_memory_preflight_bounds_the_measured_peak():
-    n_max = 10**6
+# M Omega = 1e-7, tanh r = 1 - 6.3e-7: cutoffs in the millions keep most of
+# Bob's state, so every level of every block carries weight
+DIVERGENT = SqueezeParams(1e-3, 1e-4)
+
+
+def _traced_peak(n_max):
     tracemalloc.start()
     try:
-        run_protocol(SqueezeParams.from_tanh(0.99999), _seeded_qubit(5), n_max)
-        peak = tracemalloc.get_traced_memory()[1]
+        run_protocol(DIVERGENT, _seeded_qubit(5), n_max)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= teleport._PEAK_BYTES_PER_LEVEL * (n_max + 1), peak
 
 
-def test_cutoff_beyond_physical_memory_is_refused_before_allocation():
-    # 64 (10^12 + 1) bytes is 64 TB: without the preflight the first
-    # Schmidt vector (8 TB) fails in malloc
-    with pytest.raises(ValueError, match="physical memory"):
-        run_protocol(SqueezeParams.from_tanh(0.5), DualRailQubit(1.0, 0.0), 10**12)
+def test_a_runs_peak_memory_is_one_block_whatever_the_cutoff():
+    # one block (about 100 MB) against three blocks and 7 levels: a run
+    # that held Bob's whole vectors would peak three times higher
+    one_block = _traced_peak(channel._BLOCK - 1)
+    assert abs(_traced_peak(3 * channel._BLOCK + 7) - one_block) <= 1e6, one_block
+
+
+@pytest.mark.parametrize(
+    "n_max",
+    [channel._BLOCK - 1, channel._BLOCK, 5 * 10**6, 3 * channel._BLOCK + 7],
+)
+def test_runs_across_block_boundaries_follow_the_finite_cutoff_law(n_max):
+    probability, fidelity = finite_cutoff_law(DIVERGENT.decay, n_max)
+    for o in run_protocol(DIVERGENT, _seeded_qubit(5), n_max).outcomes:
+        assert law_deviation(o.probability, probability) <= LAW_RTOL, o.label
+        assert law_deviation(o.fidelity, fidelity) <= LAW_RTOL, o.label
+
+
+def test_a_cutoff_above_the_limit_is_refused_before_any_work(monkeypatch):
+    def summed(*args):
+        raise AssertionError("Bob's norms were summed")
+
+    monkeypatch.setattr(channel, "_schmidt_norms", summed)
+    for n_max in (channel.CUTOFF_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match=f"cutoff {n_max} is above the limit of {channel.CUTOFF_LIMIT}"):
+            run_protocol(SqueezeParams.from_tanh(0.5), DualRailQubit(1.0, 0.0), n_max)
 
 
 def test_truncation_error_is_nonincreasing_in_the_cutoff():
