@@ -7,9 +7,10 @@ sectors, a truncated simulation that holds his state in Schmidt form, and
 compares the resulting teleportation fidelity with the closed form
 (1 - tanh^2 r)^3.  Alice's side is 2x2 linear algebra on the logical
 amplitudes (alpha, beta), since her input and her Bell states carry one
-photon per dual-rail pair.  The dense Fock-space route that the tests check
-it against, with its own Fock toolkit and Bell states, lives in
-``tests/oracles.py``, not in the package.
+photon per dual-rail pair.  The tests check it against a dense reference in
+``tests/oracles.py`` that shares no numbers with the package: Bob's rails
+built by the two-mode squeezer itself, Bell states built from occupations,
+and the protocol run on one dense array.
 
 Layers, bottom up: :mod:`~horizon_teleport.fock` (Alice's projective
 measurement, one ``project``, run four times per input qubit, once per

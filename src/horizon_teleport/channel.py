@@ -17,15 +17,14 @@ This module maps (M, Omega) to squeezing parameters, gives the channel
 images of the single-mode vacuum and one-photon states in Schmidt form,
 accounts exactly for the tail weight a Fock cutoff drops, and owns the
 truncation budget: ``check_budget`` holds a budget epsilon to (0,
-EPSILON_MAX] and a cutoff cap to at least 1 (CUTOFF_CAP by default), and
-``required_cutoff`` picks the cutoff whose dual-rail tail, the loss a
+EPSILON_MAX] and a cutoff cap to [1, CUTOFF_LIMIT] (CUTOFF_CAP by default),
+and ``required_cutoff`` picks the cutoff whose dual-rail tail, the loss a
 protocol run reports, is within epsilon.  The images are supported on
 |m, m> and |m+1, m> (region I, region II); the protocol in ``teleport``
 reads only the squared norms of their amplitudes by region-II occupation m
-and the amplitudes at m = 0 (``_schmidt_norms``).  The dense embeddings
-that spread them over the truncated pair space (``embed_zero``,
-``embed_one``, ``embed_dual_rail``, ``thermal_reduced``) are test
-references and live in ``tests/oracles.py``.
+and the amplitudes at m = 0 (``_schmidt_norms``).  The tests hold these
+amplitudes and tails to an independent reference in ``tests/oracles.py``,
+the squeezer exp(r (a+ b+ - a b)) applied to |0, 0> and |1, 0>.
 """
 
 from __future__ import annotations
@@ -208,17 +207,6 @@ def _tails(params: SqueezeParams):
     return tails
 
 
-def zero_tail(params: SqueezeParams, n_max: int) -> float:
-    """Exact tail weight of the vacuum embedding above cutoff n_max."""
-    return _tails(params)(n_max)[0]
-
-
-def one_tail(params: SqueezeParams, n_max: int) -> float:
-    """Exact tail weight of the one-photon embedding above cutoff n_max:
-    (1-x)^2 * sum_{n >= n_max} (n+1) x^n with x = tanh^2 r."""
-    return _tails(params)(n_max)[1]
-
-
 def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
     """Tail weight lost by a dual-rail embedding, one rail carrying the
     photon and the other the vacuum: the truncation loss, 1 - sum of
@@ -228,11 +216,14 @@ def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
 
 def check_budget(epsilon: float, hard_cap: int) -> None:
     """Raise ``ValueError`` unless 0 < epsilon <= EPSILON_MAX and the
-    cutoff cap is at least 1."""
+    cutoff cap lies in [1, CUTOFF_LIMIT]: a cap above the limit would let a
+    sweep pick a cutoff that ``run_protocol`` refuses, mid-sweep."""
     if not 0.0 < epsilon <= EPSILON_MAX:
         raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}], got {epsilon!r}")
     if hard_cap < 1:
         raise ValueError(f"cutoff cap must be >= 1, got {hard_cap}")
+    if hard_cap > CUTOFF_LIMIT:
+        raise ValueError(f"cutoff cap {hard_cap} is above the limit of {CUTOFF_LIMIT} levels")
 
 
 def required_cutoff(

@@ -9,10 +9,11 @@ grid, and ``converge`` tabulates simulation error against the cutoff.
 ``channel.required_cutoff`` picks for ``--epsilon``
 (``channel.EPSILON_DEFAULT`` by default), under ``--max-cutoff``
 (``channel.CUTOFF_CAP`` by default); ``channel.check_budget`` holds both to
-their range.  ``simulate`` prints the outcomes, fidelity and loss of one
-``teleport.run_protocol`` call.  The sweep's grid flags and their defaults
-come from ``analysis.DEFAULT_GRID``.  Every command prints through one
-writer, ``_write_rows``: a row is a record's NamedTuple fields
+their range, so a ``--max-cutoff`` above ``channel.CUTOFF_LIMIT`` = 2^27
+exits 1 before any point runs.  ``simulate`` prints the outcomes, fidelity
+and loss of one ``teleport.run_protocol`` call.  The sweep's grid flags and
+their defaults come from ``analysis.DEFAULT_GRID``.  Every command prints
+through one writer, ``_write_rows``: a row is a record's NamedTuple fields
 (``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), its flags joined
 by ";", so the field names are both the CSV columns and the JSON keys.
 

@@ -3,9 +3,9 @@ vector.
 
 Alice's input qubit and her Bell states carry one photon per dual-rail
 pair, so the protocol in ``teleport`` measures them in the logical basis,
-as 2-vectors and 2x2 tables, not as Fock states.  The dense multimode Fock
-toolkit that the tests check the protocol against lives with them in
-``tests/oracles.py``.
+as 2-vectors and 2x2 tables, not as Fock states.  The tests hold it to the
+Fock-space Bell states of ``tests/oracles.py``, four-mode arrays built from
+occupations.
 """
 
 from __future__ import annotations

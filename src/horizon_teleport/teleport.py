@@ -31,9 +31,10 @@ its output does not depend on what ran before.
 
 The post-correction fidelity against the ideal dual-rail state obeys the
 closed form F = 1 / cosh^6 r for every outcome and every input; the
-simulation here exists to verify that law numerically.  The dense six-mode
-resource, the Fock-space Bell states and the protocol run on them are the
-reference the tests hold this route to; they live in ``tests/oracles.py``.
+simulation here exists to verify that law numerically.  The tests hold this
+route to a dense reference in ``tests/oracles.py``: the six-mode resource,
+its rails built by the two-mode squeezer and not from ``channel``'s closed
+forms, the Fock-space Bell states and the protocol run on them.
 """
 
 from __future__ import annotations

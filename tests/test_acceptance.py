@@ -8,15 +8,16 @@ print the measured numbers so a full run doubles as a results report.
 import json
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from horizon_teleport import cli
+from horizon_teleport import channel, cli
 from horizon_teleport.analysis import DEFAULT_GRID, SweepRecord, sweep
 from horizon_teleport.channel import SqueezeParams, dual_rail_tail, required_cutoff
 from horizon_teleport.teleport import DualRailQubit, fidelity_analytic, run_protocol
-from oracles import RegionPair, dense_protocol, embed_one, embed_zero, inner, thermal_reduced
+from oracles import bell_resource, premeasure_weight, squeezed
 
 
 def closed_form(tanh_r):
@@ -152,12 +153,13 @@ def test_fidelity_surface_is_monotone_with_exact_corners():
 
 
 def test_thermal_occupation_matches_planck_law():
+    # region I of the squeezed vacuum S(r)|0, 0>, r from (M, Omega), holds
+    # m photons with weight |amplitude of |m, m>|^2
     worst = 0.0
     for product in (0.1, 0.25, 0.5):
         params = SqueezeParams(1.0, product)
-        rho = thermal_reduced(params, 60)
-        occupations = np.arange(61)
-        mean = float(np.sum(occupations * np.diag(rho.matrix).real))
+        amplitudes, _ = squeezed(params.r_squeeze, 0, 60)
+        mean = float(np.arange(61) @ amplitudes**2)
         sinh_sq = (params.tanh_r * params.cosh_r) ** 2
         planck = 1.0 / (math.exp(4.0 * math.pi * product) - 1.0)
         worst = max(worst, abs(mean - sinh_sq), abs(mean - planck))
@@ -166,23 +168,37 @@ def test_thermal_occupation_matches_planck_law():
     print(f"thermal state: mean photon number vs sinh^2 r and Planck form, worst |diff| = {worst:.2e}")
 
 
-def test_embedding_norms_and_orthogonality_across_the_squeezing_range():
-    pair = RegionPair("I", "II")
-    worst_overlap = 0.0
+def test_schmidt_coefficients_match_the_closed_forms_across_the_squeezing_range():
+    # beyond the squeezer's reach (r = 3 is tanh r = 0.995, cutoff 3140):
+    # every amplitude of both rails against tanh^m r / cosh r and
+    # sqrt(m + 1) tanh^m r / cosh^2 r, and each rail's kept weight against
+    # 1 - x^(n+1) and 1 - x^n (1 + n (1 - x)), x = tanh^2 r, all in
+    # 60-digit decimals from the exact decay
+    worst = 0.0
     for r in np.linspace(0.0, 3.0, 13):
         params = SqueezeParams.from_tanh(math.tanh(r))
         n_max = required_cutoff(params, 1e-12)
-        zero, tail0 = embed_zero(params, pair, n_max)
-        one, tail1 = embed_one(params, pair, n_max)
-
-        assert 1.0 - tail0 - 1e-12 <= zero.norm() <= 1.0 + 1e-12
-        assert 1.0 - tail1 - 1e-12 <= one.norm() <= 1.0 + 1e-12
-        overlap = abs(inner(zero, one))
-        worst_overlap = max(worst_overlap, overlap)
-        assert overlap <= 1e-10
+        zero, one = channel._schmidt_coefficients(params, n_max, 0, n_max + 1)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            tanh_r = (-Decimal(params.decay)).exp()
+            x = tanh_r * tanh_r
+            power, want_zero, want_one = Decimal(1), [], []
+            for m in range(n_max + 1):
+                want_zero.append(float(power * (1 - x).sqrt()))
+                want_one.append(float(power * Decimal(m + 1).sqrt() * (1 - x)) if m < n_max else 0.0)
+                power *= tanh_r
+            kept_zero = float(1 - x ** (n_max + 1))
+            kept_one = float(1 - x**n_max * (1 + n_max * (1 - x)))
+        for got, want in ((zero, np.array(want_zero)), (one, np.array(want_one))):
+            deviation = np.abs(got - want)
+            assert np.all(deviation <= 1e-14 * want), r
+            worst = max(worst, float(np.max(deviation / np.where(want > 0, want, 1.0))))
+        assert zero @ zero == pytest.approx(kept_zero, rel=0.0, abs=1e-13), r
+        assert one @ one == pytest.approx(kept_one, rel=0.0, abs=1e-13), r
     print(
-        f"embeddings: norms within reported tails for r in [0, 3] "
-        f"(largest cutoff {n_max}), max |<0|1>| = {worst_overlap:.2e}"
+        f"Schmidt coefficients: r in [0, 3] (largest cutoff {n_max}), "
+        f"worst relative deviation from the closed forms {worst:.2e}"
     )
 
 
@@ -192,8 +208,7 @@ def test_single_excitation_weight_report():
     lines = []
     for t in (0.3, 0.5):
         params = SqueezeParams.from_tanh(t)
-        qubit = DualRailQubit(1.0 / math.sqrt(2), 1.0 / math.sqrt(2))
-        _, measured = dense_protocol(params, qubit, required_cutoff(params, 1e-10))
+        measured = premeasure_weight(bell_resource(params, required_cutoff(params, 1e-10)))
         claimed = fidelity_analytic(params)
         assert claimed == pytest.approx(closed_form(t), abs=1e-12)
         assert measured == pytest.approx(claimed, rel=1e-12, abs=0.0)

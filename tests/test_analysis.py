@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from horizon_teleport import analysis, teleport
+from horizon_teleport import analysis, channel, teleport
 from horizon_teleport.analysis import (
     DEFAULT_GRID,
     SweepGrid,
@@ -201,6 +201,18 @@ def test_sweep_validation():
         sweep(corner_grid(), epsilon=0.0)
     with pytest.raises(ValueError):
         sweep(corner_grid(), max_cutoff=0)
+
+
+def test_a_cutoff_cap_above_the_limit_is_refused_before_the_axes(monkeypatch):
+    def built(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(SweepGrid, "_axis", staticmethod(built))
+    for cap in (channel.CUTOFF_LIMIT + 1, 10**9):
+        with pytest.raises(ValueError, match=f"cutoff cap {cap} is above the limit of {channel.CUTOFF_LIMIT} levels"):
+            sweep(corner_grid(), mode="with-simulation", max_cutoff=cap)
+    with pytest.raises(AssertionError, match="an axis was built"):
+        sweep(corner_grid(), max_cutoff=channel.CUTOFF_LIMIT)  # the limit itself is a valid cap
 
 
 def test_a_grid_above_the_limit_is_refused_at_construction():

@@ -1,35 +1,23 @@
-"""Horizon channel: squeezing map, tails and cutoffs in the package; the
-dense state embeddings and thermal reduction in the oracle."""
+"""Horizon channel: squeezing map, Schmidt coefficients, tails and cutoffs,
+the coefficients held to the oracle's squeezer."""
 
 import math
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from horizon_teleport import channel
 from horizon_teleport.channel import (
     CutoffInfeasible,
     DivergentSqueezing,
     SqueezeParams,
     dual_rail_tail,
-    one_tail,
     radius_to_mass,
     required_cutoff,
-    zero_tail,
 )
 from horizon_teleport.teleport import fidelity_analytic
-
-import oracles
-from oracles import (
-    RegionPair,
-    embed_dual_rail,
-    embed_one,
-    embed_zero,
-    thermal_reduced,
-)
-
-PAIR = RegionPair("I", "II")
+from oracles import squeeze, squeezed, working_size
 
 # frozen closed-form evaluations, independent of the implementation
 ARTANH_EXP_NEG_PI = 0.04324084828357019  # artanh(e^-pi)
@@ -56,8 +44,6 @@ def test_closed_forms_keep_relative_precision_near_divergence(product):
     assert params.r_squeeze == pytest.approx(r_squeeze, rel=1e-14, abs=0.0)
     assert abs(fidelity_analytic(params) / fidelity - 1.0) <= 1e-14
     assert abs(params.cosh_r**-2 / sech2 - 1.0) <= 1e-14
-    weights = np.diag(thermal_reduced(params, 3).matrix).real
-    assert abs(weights[0] / sech2 - 1.0) <= 1e-14
 
 
 def test_squeeze_param_spot_values():
@@ -136,49 +122,104 @@ def test_from_tanh_and_from_r():
         SqueezeParams.from_tanh(-0.1)
 
 
-def test_region_pair_labels_distinct():
-    with pytest.raises(ValueError):
-        RegionPair("same", "same")
-    assert RegionPair("I", "II").modes == ("I", "II")
+# ---------------------------------------------------------------- Schmidt coefficients
 
 
-# ---------------------------------------------------------------- embeddings
+@pytest.mark.parametrize("tanh_r", [0.0, 0.1, 0.5, 0.9])
+def test_the_schmidt_coefficients_are_the_squeezed_vacuum_and_photon(tanh_r):
+    # the package's closed forms against S(r) = exp(r (a+ b+ - a b))
+    # applied to |0, 0> and |1, 0>, amplitude by amplitude, on levels that
+    # carry weight (0.9^40 = 0.015); the photon rail's level n_max is 0
+    params = SqueezeParams.from_tanh(tanh_r)
+    n_max = 40
+    zero, one = channel._schmidt_coefficients(params, n_max, 0, n_max + 1)
+    assert one[n_max] == 0.0
+    size = working_size(params.r_squeeze, n_max)
+    for d, package in ((0, zero), (1, one[:n_max])):
+        kept = squeeze(params.r_squeeze, d, size)[: n_max + 1 - d]
+        assert np.max(np.abs(kept - package)) <= 2e-15, d
+        # twice the working size moves no amplitude the oracle reads
+        doubled = squeeze(params.r_squeeze, d, 2 * size)[: n_max + 1 - d]
+        assert np.max(np.abs(doubled - kept)) <= 2e-15, d
 
 
-def test_embed_zero_flat_limit_is_exact_vacuum():
-    state, tail = embed_zero(SqueezeParams.from_tanh(0.0), PAIR, 4)
-    assert tail == 0.0
-    assert state.amplitudes[state.layout.flat_index((0, 0))] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+@pytest.mark.parametrize("tanh_r, n_max", [(0.5, 10), (0.7, 20), (0.9, 40)])
+def test_the_squeezers_tails_are_the_channels(tanh_r, n_max):
+    # the weight S(r) puts above the cutoff against the closed forms the
+    # package truncates by; absolute, as each squeezed amplitude carries
+    # about 1e-16 of rounding
+    params = SqueezeParams.from_tanh(tanh_r)
+    zero, one, dual = channel._tails(params)(n_max)
+    (_, zero_tail), (_, one_tail) = (squeezed(params.r_squeeze, d, n_max) for d in (0, 1))
+    assert [zero_tail, one_tail] == pytest.approx([zero, one], rel=0.0, abs=1e-15)
+    assert zero_tail + one_tail * (1.0 - zero_tail) == pytest.approx(dual, rel=0.0, abs=1e-15)
 
 
-def test_embed_zero_coefficients_and_tail():
+@pytest.mark.parametrize("d", [0, 1])
+def test_the_squeezer_is_the_identity_at_r_0(d):
+    # flat space: S(0)|d, 0> is |d, 0> itself, with nothing above any cutoff
+    np.testing.assert_allclose(squeeze(0.0, d, 8), np.eye(8)[0], rtol=0.0, atol=1e-15)
+    amplitudes, tail = squeezed(0.0, d, 4)
+    np.testing.assert_allclose(amplitudes, np.eye(5 - d)[0], rtol=0.0, atol=1e-15)
+    assert tail <= 1e-30
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("tanh_r", [0.3, 0.6, 0.9])
+def test_the_squeezer_moves_the_mean_photon_numbers_as_the_bogoliubov_map(tanh_r, d):
+    # S+ b S = cosh r b + sinh r a+, so S(r)|d, 0> holds (d + 1) sinh^2 r
+    # photons on average in region II, and d more in region I; the squeezer
+    # holds |m + d, m> at index m, every level to the working size
+    r = SqueezeParams.from_tanh(tanh_r).r_squeeze
+    amplitudes = squeeze(r, d, working_size(r, 40))
+    weights = amplitudes**2
+    m = np.arange(len(amplitudes))
+    assert weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-13)
+    assert m @ weights == pytest.approx((d + 1) * math.sinh(r) ** 2, rel=1e-12, abs=1e-15)
+    assert (m + d) @ weights == pytest.approx(d * math.cosh(r) ** 2 + math.sinh(r) ** 2, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("tanh_r", [0.3, 0.5, 0.9])
+def test_the_squeezed_photon_is_the_squeezed_creation_operator_on_the_squeezed_vacuum(tanh_r):
+    # S a+ S+ = cosh r a+ - sinh r b, so S(r)|1, 0> = (cosh r a+ - sinh r b)
+    # S(r)|0, 0>: from the vacuum rail's amplitudes v_m on |m, m>, the
+    # photon rail's on |m + 1, m> are sqrt(m + 1) (cosh r v_m - sinh r v_{m+1});
+    # two separate runs of the squeezer, tied by the commutation relations
+    r = SqueezeParams.from_tanh(tanh_r).r_squeeze
+    n_max = 40
+    vacuum, _ = squeezed(r, 0, n_max)
+    photon, _ = squeezed(r, 1, n_max)
+    m = np.arange(n_max)
+    raised = np.sqrt(m + 1) * (math.cosh(r) * vacuum[:-1] - math.sinh(r) * vacuum[1:])
+    np.testing.assert_allclose(photon, raised, rtol=0.0, atol=1e-13)
+
+
+def test_vacuum_rail_coefficients_and_tail():
     params = SqueezeParams.from_tanh(0.5)
     n_max = 30
-    state, tail = embed_zero(params, PAIR, n_max)
-    layout = state.layout
+    zero, _ = channel._schmidt_coefficients(params, n_max, 0, n_max + 1)
 
-    # diagonal kets carry tanh^n r / cosh r, everything else vanishes
+    # diagonal kets carry tanh^n r / cosh r
     inv_cosh = math.sqrt(3.0) / 2.0
     for n in range(n_max + 1):
-        amp = state.amplitudes[layout.flat_index((n, n))]
-        assert amp == pytest.approx(0.5**n * inv_cosh, rel=1e-13, abs=0.0)
-    assert np.count_nonzero(state.amplitudes) == n_max + 1
+        assert zero[n] == pytest.approx(0.5**n * inv_cosh, rel=1e-13, abs=0.0)
 
+    tail = channel._tails(params)(n_max)[0]
     assert tail == pytest.approx(0.5 ** (2 * (n_max + 1)), rel=1e-13, abs=0.0)
-    assert state.norm() ** 2 == pytest.approx(1.0 - tail, abs=1e-13)
+    assert zero @ zero == pytest.approx(1.0 - tail, abs=1e-13)
 
 
 def test_tail_formulas_match_brute_series():
     for t, n_max in ((0.2, 3), (0.5, 7), (0.8, 25)):
         params = SqueezeParams.from_tanh(t)
+        zero_tail, one_tail, _ = channel._tails(params)(n_max)
         x = t * t
         brute_zero = (1 - x) * sum(x**n for n in range(n_max + 1, 3000))
-        assert zero_tail(params, n_max) == pytest.approx(brute_zero, rel=1e-10)
+        assert zero_tail == pytest.approx(brute_zero, rel=1e-10)
         brute_one = (1 - x) ** 2 * sum(
             (n + 1) * x**n for n in range(n_max, 3000)
         )
-        assert one_tail(params, n_max) == pytest.approx(brute_one, rel=1e-10)
+        assert one_tail == pytest.approx(brute_one, rel=1e-10)
 
 
 @pytest.mark.parametrize("tanh_r, n_max", [(0.5, 30), (0.5, 60), (0.99999, 1318555)])
@@ -193,108 +234,8 @@ def test_tails_keep_relative_precision_near_divergence(tanh_r, n_max):
         zero = x ** (n_max + 1)
         one = x**n_max * (1 + n_max * (1 - x))
         expected = [float(zero), float(one), float(1 - (1 - zero) * (1 - one))]
-    got = [zero_tail(params, n_max), one_tail(params, n_max), dual_rail_tail(params, n_max)]
+    got = [*channel._tails(params)(n_max)[:2], dual_rail_tail(params, n_max)]
     assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
-
-
-def test_embed_one_flat_limit_and_norm():
-    state, tail = embed_one(SqueezeParams.from_tanh(0.0), PAIR, 4)
-    assert tail == 0.0
-    assert state.amplitudes[state.layout.flat_index((1, 0))] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
-
-    params = SqueezeParams.from_tanh(0.5)
-    state, tail = embed_one(params, PAIR, 30)
-    assert state.norm() ** 2 == pytest.approx(1.0 - tail, abs=1e-13)
-
-
-def test_embeddings_are_orthogonal():
-    params = SqueezeParams.from_tanh(0.5)
-    zero, _ = embed_zero(params, PAIR, 30)
-    one, _ = embed_one(params, PAIR, 30)
-    assert abs(oracles.inner(zero, one)) <= 1e-10
-
-
-def test_one_photon_embedding_matches_squeezed_creation_oracle():
-    # independent route: the region-I squeezed creation operator
-    # cosh r a_I+ - sinh r a_II applied to the vacuum embedding must
-    # reproduce embed_one amplitude for amplitude
-    params = SqueezeParams.from_tanh(0.5)
-    n_max = 30
-    zero, _ = embed_zero(params, PAIR, n_max)
-    one, _ = embed_one(params, PAIR, n_max)
-
-    raised, _ = oracles.create(zero, "I")
-    lowered = oracles.annihilate(zero, "II")
-    candidate = params.cosh_r * raised + (-params.tanh_r * params.cosh_r) * lowered
-    np.testing.assert_allclose(candidate.amplitudes, one.amplitudes, atol=1e-12)
-
-
-def test_embed_dual_rail():
-    pairs = (RegionPair("I1", "II1"), RegionPair("I2", "II2"))
-    flat = SqueezeParams.from_tanh(0.0)
-
-    state, tail = embed_dual_rail(SimpleNamespace(alpha=1.0, beta=0.0), flat, pairs, 2)
-    assert tail == 0.0
-    assert state.layout.modes == ("I1", "II1", "I2", "II2")
-    assert state.amplitudes[state.layout.flat_index((1, 0, 0, 0))] == 1.0
-
-    state, _ = embed_dual_rail(SimpleNamespace(alpha=0.0, beta=1.0), flat, pairs, 2)
-    assert state.amplitudes[state.layout.flat_index((0, 0, 1, 0))] == 1.0
-
-    s = 1.0 / math.sqrt(2.0)
-    params = SqueezeParams.from_tanh(0.5)
-    state, tail = embed_dual_rail(SimpleNamespace(alpha=s, beta=s), params, pairs, 30)
-    assert state.norm() == pytest.approx(1.0, abs=1e-8)
-    t0, t1 = zero_tail(params, 30), one_tail(params, 30)
-    assert tail == pytest.approx(t0 + t1 * (1.0 - t0), rel=1e-12, abs=0.0)
-
-
-def test_embed_dual_rail_is_linear():
-    pairs = (RegionPair("I1", "II1"), RegionPair("I2", "II2"))
-    params = SqueezeParams.from_tanh(0.4)
-    e10, _ = embed_dual_rail(SimpleNamespace(alpha=1.0, beta=0.0), params, pairs, 8)
-    e01, _ = embed_dual_rail(SimpleNamespace(alpha=0.0, beta=1.0), params, pairs, 8)
-    mixed, _ = embed_dual_rail(
-        SimpleNamespace(alpha=0.6, beta=0.8j), params, pairs, 8
-    )
-    combined = 0.6 * e10 + 0.8j * e01
-    np.testing.assert_allclose(mixed.amplitudes, combined.amplitudes, atol=1e-12)
-
-
-# ---------------------------------------------------------------- thermal state
-
-
-def test_thermal_reduced_flat_limit():
-    rho = thermal_reduced(SqueezeParams.from_tanh(0.0), 3)
-    np.testing.assert_allclose(rho.matrix, np.diag([1, 0, 0, 0]), atol=1e-15)
-    rho.validate()
-
-
-def test_thermal_mean_photon_number():
-    params = SqueezeParams.from_tanh(0.5)
-    rho = thermal_reduced(params, 60)
-    occupations = np.arange(61)
-    mean = float(np.sum(occupations * np.diag(rho.matrix).real))
-    assert mean == pytest.approx(1.0 / 3.0, abs=1e-10)  # sinh^2 r at tanh r = 1/2
-
-    # Planck form at (M, Omega) = (0.5, 1)
-    params = SqueezeParams(0.5, 1.0)
-    rho = thermal_reduced(params, 60)
-    mean = float(np.sum(occupations * np.diag(rho.matrix).real))
-    assert mean == pytest.approx(
-        1.0 / (math.exp(4 * math.pi * 0.5) - 1.0), abs=1e-10
-    )
-    assert mean == pytest.approx((params.tanh_r * params.cosh_r) ** 2, abs=1e-10)
-
-
-def test_thermal_equals_traced_vacuum_embedding():
-    params = SqueezeParams.from_tanh(0.5)
-    n_max = 20
-    state, _ = embed_zero(params, PAIR, n_max)
-    traced = oracles.reduced_density(state, ("I",))
-    direct = thermal_reduced(params, n_max)
-    np.testing.assert_allclose(direct.matrix, traced.matrix, atol=1e-12)
 
 
 # ---------------------------------------------------------------- cutoff search

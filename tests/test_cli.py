@@ -361,6 +361,27 @@ def test_sweep_above_the_grid_limit_exits_1_and_writes_nothing(tmp_path, capsys,
         assert size > analysis.GRID_LIMIT
 
 
+def test_a_cutoff_cap_above_the_limit_exits_1_before_any_point(tmp_path, capsys):
+    # at cap 10^9 the first point's cutoff, 325969711, lies between the
+    # limit and the cap; the sweep is refused whole, not aborted there, and
+    # at a cap equal to the limit that point is flagged and the rest run
+    out = tmp_path / "o.csv"
+    argv = [
+        "sweep", "--mode", "with-simulation", "--epsilon", "0.1", "--out", str(out),
+        "--radius-min", "2e-5", "--radius-max", "1", "--radius-steps", "2",
+        "--omega-min", "1e-4", "--omega-max", "1", "--omega-steps", "2",
+    ]
+    assert run_cli(argv + ["--max-cutoff", "1000000000"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: cutoff cap 1000000000 is above the limit of {channel.CUTOFF_LIMIT} levels\n"
+
+    assert run_cli(argv + ["--max-cutoff", str(channel.CUTOFF_LIMIT)]) == 0
+    _, rows = parse_csv(out.read_text())
+    assert [row[-1] for row in rows] == ["cutoff-capped", "", "", ""]
+    assert all(row[5] for row in rows[1:])  # simulated
+
+
 # a sweep command's peak memory per point, times GRID_LIMIT: the largest
 # grid fits in the 1.2 GB that the README states
 GRID_LIMIT_BYTES = 1.2e9

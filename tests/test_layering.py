@@ -1,6 +1,8 @@
-"""Import boundaries: the dense oracle shares no Bell measurement with the
-package, the package never imports the tests, and only ``channel`` reads
-the tail weights, so that ``required_cutoff`` stays the one cutoff rule.
+"""Import boundaries: the dense oracle takes nothing from the package but
+``SqueezeParams`` and the outcome labels, and no private name, so it checks
+Bob's amplitudes and not only their layout; the package never imports the
+tests; and only ``channel`` reads the tail weights, so that
+``required_cutoff`` stays the one cutoff rule.
 One run path: the commands reach the protocol through one
 ``run_protocol`` call each, only ``teleport`` sums outcome probabilities,
 and only ``channel`` holds the truncation budget to its range.  One row
@@ -30,16 +32,23 @@ def _imports(path):
             yield node.module or "", tuple(alias.name for alias in node.names)
 
 
-def test_oracle_builds_its_own_bell_measurement():
-    found = []
-    for module, names in _imports(ROOT / "tests" / "oracles.py"):
-        if module == "horizon_teleport.fock":
-            found.append(module)
-        elif module == "horizon_teleport" and "fock" in names:
-            found.append("horizon_teleport.fock")
-        elif module == "horizon_teleport.teleport":
-            found += [f"{module}.{n}" for n in names if n in ("bell_basis", "correction")]
-    assert found == []
+def test_the_oracle_takes_only_the_squeeze_parameters_and_the_outcome_labels():
+    oracles = ROOT / "tests" / "oracles.py"
+    taken = sorted(
+        name or module
+        for module, names in _imports(oracles)
+        if module.split(".")[0] == "horizon_teleport"
+        for name in names or ("",)
+    )
+    assert taken == ["OUTCOME_LABELS", "SqueezeParams"]
+    # nor reaches a private package name another way, as an attribute
+    private = {
+        name
+        for path in (ROOT / "src" / "horizon_teleport").glob("*.py")
+        for name in _identifiers(path)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert private and private.isdisjoint(_identifiers(oracles))
 
 
 def test_package_does_not_import_the_tests():
@@ -68,7 +77,7 @@ def _identifiers(path):
 
 
 def test_only_the_channel_reads_the_tail_weights():
-    tails = {"zero_tail", "one_tail", "dual_rail_tail", "_tails"}
+    tails = {"dual_rail_tail", "_tails"}
     package = ROOT / "src" / "horizon_teleport"
     channel = package / "channel.py"
     assert tails <= set(_identifiers(channel))

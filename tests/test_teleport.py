@@ -9,13 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horizon_teleport import channel, fock
-from horizon_teleport.channel import (
-    SqueezeParams,
-    dual_rail_tail,
-    one_tail,
-    required_cutoff,
-    zero_tail,
-)
+from horizon_teleport.channel import SqueezeParams, dual_rail_tail, required_cutoff
 from horizon_teleport.teleport import (
     BELL_TABLE,
     DEGENERATE_PROBABILITY,
@@ -25,23 +19,16 @@ from horizon_teleport.teleport import (
     run_protocol,
 )
 from oracles import (
-    ALICE_ANCILLA,
     LAW_RTOL,
-    FockVector,
-    ModeLayout,
-    basis_state,
     bell_basis,
     bell_resource,
-    correction_matrix,
+    conditional_state,
+    correct,
     dense_protocol,
     finite_cutoff_law,
-    inner,
     input_state,
     law_deviation,
-    project,
-    reduced_density,
-    resource_layout,
-    tensor,
+    premeasure_weight,
 )
 
 S = 1.0 / math.sqrt(2.0)
@@ -76,11 +63,8 @@ def test_dual_rail_qubit_validation_and_state():
     for alpha, beta in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
         with pytest.raises(ValueError, match="not normalized"):
             DualRailQubit(alpha, beta)
-    qubit = DualRailQubit(0.6, 0.8j)
-    state = input_state(qubit)
-    assert state.layout.modes == ("X1", "X2")
-    assert state.amplitudes[state.layout.flat_index((1, 0))] == 0.6
-    assert state.amplitudes[state.layout.flat_index((0, 1))] == 0.8j
+    state = input_state(DualRailQubit(0.6, 0.8j))  # axes (X1, X2)
+    np.testing.assert_array_equal(state, [[0, 0.8j], [0.6, 0]])
 
 
 def test_protocol_config_validation():
@@ -103,7 +87,7 @@ def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
     # and 7 here); the dual-rail tail, the loss a run reports, is not
     params = SqueezeParams.from_tanh(tanh_r)
     assert required_cutoff(params, epsilon) == n_max
-    assert one_tail(params, n_max - 1) <= epsilon
+    assert channel._tails(params)(n_max - 1)[1] <= epsilon
     assert dual_rail_tail(params, n_max) <= epsilon < dual_rail_tail(params, n_max - 1)
     run = run_protocol(params, DualRailQubit(1.0, 0.0), n_max)
     assert 1.0 - sum(o.probability for o in run.outcomes) == run.loss <= epsilon
@@ -115,24 +99,12 @@ def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
 def test_bell_basis_orthonormal_in_the_two_photon_sector():
     basis = bell_basis()
     assert list(basis) == list(OUTCOME_LABELS)
-    vectors = list(basis.values())
-    gram = np.array(
-        [[inner(u, v) for v in vectors] for u in vectors]
-    )
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
-
-    layout = vectors[0].layout
-    occupations = [
-        (i, j, k, l)
-        for i in range(2)
-        for j in range(2)
-        for k in range(2)
-        for l in range(2)
-    ]
-    for vec in vectors:
-        for occ in occupations:
-            if vec.amplitudes[layout.flat_index(occ)] != 0.0:
-                assert sum(occ) == 2  # dual-rail states carry one photon per qubit
+    vectors = np.array([state.reshape(-1) for state in basis.values()])
+    np.testing.assert_allclose(vectors @ vectors.T.conj(), np.eye(4), atol=1e-14)
+    for state in basis.values():
+        for occupations in zip(*np.nonzero(state)):
+            # one photon per dual-rail pair: (X1, X2) and (A1, A2)
+            assert sum(occupations[:2]) == sum(occupations[2:]) == 1
 
 
 def test_bell_table_matches_the_fock_space_bell_states():
@@ -144,38 +116,35 @@ def test_bell_table_matches_the_fock_space_bell_states():
     for qubit in qubits:
         for label, bell in zip(OUTCOME_LABELS, BELL_TABLE, strict=True):
             weight, ancilla = fock.project(bell, np.array([qubit.alpha, qubit.beta]))
-            fock_weight, fock_ancilla = project(basis[label], input_state(qubit))
+            # <input|bell> on the ancilla modes (A1, A2), |0L> = |1,0>, as
+            # project takes it; Bob's branches are weighted by its conjugate
+            v = np.tensordot(input_state(qubit).conj(), basis[label], axes=([0, 1], [0, 1]))
+            fock_weight = float(np.vdot(v, v).real)
             assert weight == pytest.approx(0.5, abs=1e-15), label
             assert weight == pytest.approx(fock_weight, abs=1e-15), label
-            v = fock_ancilla.as_tensor()  # ancilla modes (A1, A2): |0L> = |1,0>
-            np.testing.assert_allclose(
-                ancilla, [v[1, 0], v[0, 1]], rtol=0, atol=1e-15, err_msg=label
-            )
+            expected = np.array([v[1, 0], v[0, 1]]) / math.sqrt(fock_weight)
+            np.testing.assert_allclose(ancilla, expected, rtol=0, atol=1e-15, err_msg=label)
 
     with pytest.raises(ValueError, match="not normalized"):
         fock.project(BELL_TABLE[0], np.array([1.0, 1.0]))
 
 
 def test_bell_resource_flat_limit_is_the_bell_state():
-    layout = resource_layout(1)
+    # axes (A1, A2, B1I, B1II, B2I, B2II)
     state = bell_resource(FLAT, 1)
-    expected = np.zeros(layout.dim, dtype=complex)
-    expected[layout.flat_index((1, 0, 1, 0, 0, 0))] = S
-    expected[layout.flat_index((0, 1, 0, 0, 1, 0))] = S
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    expected = np.zeros((2,) * 6)
+    expected[1, 0, 1, 0, 0, 0] = expected[0, 1, 0, 0, 1, 0] = S
+    np.testing.assert_allclose(state, expected, atol=1e-15)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_resource_norm_and_alice_marginal():
     params = SqueezeParams.from_tanh(0.5)
-    state = bell_resource(params, 30)
-    assert state.norm() == pytest.approx(1.0, abs=1e-8)
+    assert np.linalg.norm(bell_resource(params, 30)) == pytest.approx(1.0, abs=1e-8)
 
-    flat_state = bell_resource(FLAT, 1)
-    marginal = reduced_density(flat_state, ALICE_ANCILLA)
-    np.testing.assert_allclose(
-        marginal.matrix, np.diag([0, 0.5, 0.5, 0]), atol=1e-14
-    )
+    ancilla = bell_resource(FLAT, 1).reshape(4, -1)  # (A1, A2) against Bob
+    marginal = ancilla @ ancilla.conj().T
+    np.testing.assert_allclose(marginal, np.diag([0, 0.5, 0.5, 0]), atol=1e-14)
 
 
 def test_bell_resource_peak_memory_stays_within_twice_the_result():
@@ -186,42 +155,59 @@ def test_bell_resource_peak_memory_stays_within_twice_the_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+    assert peak <= 2 * state.nbytes, peak / state.nbytes
 
 
 def test_correction_restores_the_conditional_amplitudes():
+    # x |1,0> + y |0,1> on Bob's region-I rails, region II empty, axes
+    # (B1I, B1II, B2I, B2II) at cutoff 1
     alpha, beta = 0.6, 0.8j
-    layout = ModeLayout.uniform(("R1", "R2"), 1)
+    expected = np.zeros((2,) * 4, dtype=complex)
+    expected[1, 0, 0, 0], expected[0, 0, 1, 0] = alpha, beta
 
     for label, conditional in CONDITIONAL_TABLE.items():
-        x, y = conditional(alpha, beta)
-        state = x * basis_state(layout, (1, 0)) + y * basis_state(layout, (0, 1))
-        fixed = correction_matrix(label) @ state.amplitudes
-        expected = alpha * basis_state(layout, (1, 0)) + beta * basis_state(
-            layout, (0, 1)
-        )
-        np.testing.assert_allclose(
-            fixed, expected.amplitudes, atol=1e-14, err_msg=label
-        )
+        state = np.zeros((2,) * 4, dtype=complex)
+        state[1, 0, 0, 0], state[0, 0, 1, 0] = conditional(alpha, beta)
+        np.testing.assert_allclose(correct(label, state), expected, atol=1e-14, err_msg=label)
 
 
-def test_correction_matrices_are_unitary_permutations():
-    for cutoff in (1, 3):
-        dim = (cutoff + 1) ** 2
-        for label in OUTCOME_LABELS:
-            u = correction_matrix(label, cutoff)
-            np.testing.assert_allclose(
-                u.conj().T @ u, np.eye(dim), atol=1e-14, err_msg=label
-            )
-            # signed permutation: one entry of modulus 1 per column
-            np.testing.assert_allclose(np.abs(u).sum(axis=0), 1.0, atol=1e-14)
+@pytest.mark.parametrize("n_max", [1, 3])
+@pytest.mark.parametrize("label", OUTCOME_LABELS)
+def test_the_correction_is_a_signed_permutation_on_region_i(label, n_max):
+    # the matrix of correct on (B1I, B1II, B2I, B2II): unitary, one entry
+    # of modulus 1 per column, and each ket keeps its region-II occupations
+    # while its region-I occupations swap rails on the bit-flip outcomes
+    shape = (n_max + 1,) * 4
+    kets = np.eye(math.prod(shape)).reshape((-1,) + shape)
+    u = np.array([correct(label, ket).reshape(-1) for ket in kets]).T
+    np.testing.assert_array_equal(u.T @ u, np.eye(len(kets)))
+    np.testing.assert_array_equal(np.abs(u).sum(axis=0), 1.0)
+    for (b1, b1ii, b2, b2ii), column in zip(np.ndindex(shape), u.T):
+        image = np.unravel_index(np.flatnonzero(column)[0], shape)
+        region_i = (b2, b1) if label[1] == "1" else (b1, b2)
+        assert image == (region_i[0], b1ii, region_i[1], b2ii), (label, b1, b1ii, b2, b2ii)
 
-    swap = correction_matrix("01", 2)
-    layout = ModeLayout.uniform(("R1", "R2"), 2)
-    assert swap[layout.flat_index((1, 2)), layout.flat_index((2, 1))] == 1.0
 
-    with pytest.raises(ValueError):
-        correction_matrix("02")
+@pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.6])
+def test_bobs_region_i_state_is_the_even_mixture_of_the_two_thermal_branches(tanh_r):
+    # tracing the ancilla and region II out of the resource leaves each
+    # rail thermal, x = tanh^2 r: the vacuum rail holds n photons with
+    # weight (1 - x) x^n, the photon rail with (1 - x)^2 n x^(n-1), one
+    # branch each way round, each truncated at the cutoff
+    n_max = 6
+    resource = bell_resource(SqueezeParams.from_tanh(tanh_r), n_max)
+    rho = np.einsum("abikjl,abmknl->ijmn", resource, resource.conj())  # (B1I, B2I) twice
+    x, n = tanh_r**2, np.arange(n_max + 1)
+    vacuum = (1 - x) * x**n
+    photon = (1 - x) ** 2 * n * x ** np.maximum(n - 1, 0)
+    weights = 0.5 * (np.multiply.outer(photon, vacuum) + np.multiply.outer(vacuum, photon))
+    expected = np.zeros(rho.shape)
+    i, j = np.indices(weights.shape)
+    expected[i, j, i, j] = weights
+    # each squeezed amplitude carries up to 2e-15 of rounding (1e-15 at
+    # r = 0, where eigh returns 1 - 1e-15 for the vacuum), and a weight
+    # is half the square of a product of two of them
+    np.testing.assert_allclose(rho, expected, rtol=0.0, atol=4e-15)
 
 
 def test_fidelity_analytic_examples():
@@ -250,24 +236,19 @@ def test_flat_space_protocol_is_exact():
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conditional_amplitudes_match_the_outcome_table():
+@pytest.mark.parametrize("label", OUTCOME_LABELS)
+def test_conditional_amplitudes_match_the_outcome_table(label):
     # project the flat-limit pre-correction state by hand: each outcome's
     # conditional region-I amplitudes must follow the (x, y) table
     alpha, beta = 0.6, 0.8
     qubit = DualRailQubit(alpha, beta)
-    resource = bell_resource(FLAT, 1)
-    full = tensor(input_state(qubit), resource)
-    basis = bell_basis()
-
-    for label, conditional in CONDITIONAL_TABLE.items():
-        x, y = conditional(alpha, beta)
-        prob, state = project(full, basis[label])
-        assert prob == pytest.approx(0.25, abs=1e-12)
-        assert state.layout.modes == ("B1I", "B1II", "B2I", "B2II")
-        got_x = state.amplitudes[state.layout.flat_index((1, 0, 0, 0))]
-        got_y = state.amplitudes[state.layout.flat_index((0, 0, 1, 0))]
-        assert got_x == pytest.approx(x, abs=1e-12)
-        assert got_y == pytest.approx(y, abs=1e-12)
+    x, y = CONDITIONAL_TABLE[label](alpha, beta)
+    state = conditional_state(bell_basis()[label], qubit, bell_resource(FLAT, 1))  # (B1I, B1II, B2I, B2II)
+    prob = float(np.vdot(state, state).real)
+    assert prob == pytest.approx(0.25, abs=1e-12)
+    state /= math.sqrt(prob)
+    assert state[1, 0, 0, 0] == pytest.approx(x, abs=1e-12)
+    assert state[0, 0, 1, 0] == pytest.approx(y, abs=1e-12)
 
 
 def test_moderate_squeezing_matches_the_closed_form():
@@ -301,65 +282,31 @@ def test_outcomes_are_equivalent_after_correction():
     assert run.loss == 1.0 - retained
 
 
-def _eight_mode_protocol(params, qubit, n_max):
-    """The protocol on the full eight-mode input-resource state: project
-    each Bell outcome, apply the correction matrix to the region-I axes,
-    reduce to region I and read <phi| rho_I |phi>."""
-    d = n_max + 1
-    full = tensor(input_state(qubit), bell_resource(params, n_max))
-    basis = bell_basis()
-    pair = ModeLayout.uniform(("B1I", "B2I"), n_max)
-    phi = qubit.alpha * basis_state(pair, (1, 0)) + qubit.beta * basis_state(pair, (0, 1))
-    outcomes = []
-    for label in OUTCOME_LABELS:
-        probability, conditional = project(full, basis[label])
-        u = correction_matrix(label, n_max).reshape(d, d, d, d)
-        # (out1, out2) x (B1II, B2II), back to (B1I, B1II, B2I, B2II)
-        corrected = np.tensordot(u, conditional.as_tensor(), axes=([2, 3], [0, 2]))
-        corrected = FockVector(conditional.layout, corrected.transpose(0, 2, 1, 3).reshape(-1))
-        rho = reduced_density(corrected, ("B1I", "B2I"))
-        fidelity = float(np.vdot(phi.amplitudes, rho.matrix @ phi.amplitudes).real)
-        flags = ("degenerate",) if probability < DEGENERATE_PROBABILITY else ()
-        outcomes.append((label, probability, fidelity, flags))
-    return outcomes
+def _assert_the_routes_agree(tanh_r, n_max, inputs):
+    params = SqueezeParams.from_tanh(tanh_r)
+    resource = bell_resource(params, n_max)
+    # Bob's single-excitation weight before the measurement is sech^6 r
+    # at every cutoff: it sits on region-II occupation 0 of both rails
+    assert premeasure_weight(resource) == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0), n_max
+    for k in range(inputs):
+        qubit = _seeded_qubit(100 * n_max + int(10 * tanh_r) + 10000 * k)
+        for outcome, (label, probability, fidelity) in zip(
+            run_protocol(params, qubit, n_max).outcomes, dense_protocol(resource, qubit), strict=True
+        ):
+            assert (outcome.label, outcome.flags) == (label, ()), n_max
+            assert outcome.probability == pytest.approx(probability, abs=1e-12), n_max
+            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), n_max
 
 
 @pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.7])
-@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 12])
-def test_protocol_matches_the_eight_mode_pipeline(n_max, tanh_r):
-    params = SqueezeParams.from_tanh(tanh_r)
-    rng = np.random.default_rng(1000 * n_max + int(10 * tanh_r))
-    for _ in range(3):
-        raw = rng.normal(size=4)
-        qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-        for outcome, (label, probability, fidelity, flags) in zip(
-            run_protocol(params, qubit, n_max).outcomes, _eight_mode_protocol(params, qubit, n_max)
-        ):
-            assert outcome.label == label
-            assert outcome.flags == flags
-            assert outcome.probability == pytest.approx(probability, abs=1e-12)
-            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12)
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 7, 12])
+def test_sector_route_matches_the_dense_oracle(n_max, tanh_r):
+    _assert_the_routes_agree(tanh_r, n_max, inputs=3)
 
 
-@pytest.mark.parametrize(
-    "tanh_r, cutoffs",
-    [(0.0, (1, 5, 12)), (0.3, (1, 5, 12)), (0.7, range(1, 41))],
-    ids=["flat", "tanh0.3", "tanh0.7-every-cutoff-to-40"],
-)
-def test_sector_route_matches_the_dense_oracle(tanh_r, cutoffs):
-    params = SqueezeParams.from_tanh(tanh_r)
-    for n_max in cutoffs:
-        qubit = _seeded_qubit(100 * n_max + int(10 * tanh_r))
-        dense_outcomes, dense_weight = dense_protocol(params, qubit, n_max)
-        for outcome, (label, probability, fidelity, flags) in zip(
-            run_protocol(params, qubit, n_max).outcomes, dense_outcomes, strict=True
-        ):
-            assert (outcome.label, outcome.flags) == (label, flags), n_max
-            assert outcome.probability == pytest.approx(probability, abs=1e-12), n_max
-            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), n_max
-        # Bob's single-excitation weight before the measurement is sech^6 r
-        # at every cutoff: it sits on region-II occupation 0 of both rails
-        assert dense_weight == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0), n_max
+def test_sector_route_matches_the_dense_oracle_at_every_cutoff_to_40():
+    for n_max in range(1, 41):
+        _assert_the_routes_agree(0.7, n_max, inputs=1)
 
 
 @pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 1)])
@@ -432,22 +379,52 @@ def test_truncation_error_is_nonincreasing_in_the_cutoff():
             assert current <= previous + 1e-12, (t, errors)
 
 
-def test_fidelity_is_input_independent():
-    params = SqueezeParams.from_tanh(0.3)
-    rng = np.random.default_rng(7)
-    values = []
-    for _ in range(50):
-        raw = rng.normal(size=4)
-        qubit = make_qubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-        values.append(run_protocol(params, qubit, 11).fidelity)
-    assert max(values) - min(values) <= 1e-6
+def _bloch_design(qubits):
+    """One row per qubit: the nine functions that span the quadratics in
+    its Bloch vector (x, y, z) on the sphere, where z^2 = 1 - x^2 - y^2."""
+    rows = []
+    for qubit in qubits:
+        coherence = qubit.alpha.conjugate() * qubit.beta
+        x, y = 2.0 * coherence.real, 2.0 * coherence.imag
+        z = abs(qubit.alpha) ** 2 - abs(qubit.beta) ** 2
+        rows.append([1.0, x, y, z, x * y, y * z, z * x, x * x, y * y])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tanh_r, n_max", [(0.0, 1), (0.3, 11), (0.7, 7)])
+@pytest.mark.parametrize("route", ["sector", "dense"])
+def test_nine_inputs_certify_that_no_outcome_depends_on_the_input(route, tanh_r, n_max):
+    # each outcome's p is affine in the input's Bloch vector and p F is a
+    # quadratic in it, so both lie in the nine-function span of
+    # _bloch_design; nine inputs whose design has full rank fix every
+    # coefficient, and when all but the constant vanish, p and F are the
+    # same for every input on the sphere (flat, truncated by 3e-11, and
+    # with 3.4% of Bob's weight above the cutoff at tanh r 0.7, n_max 7)
+    params = SqueezeParams.from_tanh(tanh_r)
+    paulis = [(1.0, 0.0), (0.0, 1.0), (S, S), (S, -S), (S, 1j * S), (S, -1j * S)]
+    qubits = [DualRailQubit(*amplitudes) for amplitudes in paulis]
+    qubits += [_seeded_qubit(seed) for seed in (1, 2, 3)]
+    design = _bloch_design(qubits)
+    assert np.linalg.matrix_rank(design) == 9
+
+    if route == "sector":
+        runs = [[(o.probability, o.fidelity) for o in run_protocol(params, q, n_max).outcomes] for q in qubits]
+    else:
+        resource = bell_resource(params, n_max)
+        runs = [[(p, f) for _, p, f in dense_protocol(resource, q)] for q in qubits]
+    values = np.array([[v for p, f in run for v in (p, p * f)] for run in runs])
+    coefficients = np.linalg.solve(design, values)
+    # rounding: the inverse design's rows sum to at most 19 in modulus, so
+    # values good to a few ulps of 0.25 leave about 1e-15 (1.4e-15 measured)
+    assert np.max(np.abs(coefficients[1:])) <= 1e-14, coefficients[1:]
 
 
 def test_probabilities_complete_up_to_truncation_loss():
     params = SqueezeParams.from_tanh(0.5)
     for n_max in (6, 12):
         outcomes = run_protocol(params, DualRailQubit(0.6, 0.8), n_max).outcomes
-        loss = 1.0 - (1.0 - zero_tail(params, n_max)) * (1.0 - one_tail(params, n_max))
+        zero_tail, one_tail, _ = channel._tails(params)(n_max)
+        loss = 1.0 - (1.0 - zero_tail) * (1.0 - one_tail)
         total = sum(o.probability for o in outcomes)
         assert total + loss == pytest.approx(1.0, abs=1e-10)
 
@@ -555,11 +532,11 @@ def test_a_run_that_truncates_almost_all_of_bobs_state_raises():
 def test_premeasure_weight_flat_and_squeezed():
     # the oracle's single-excitation weight of Bob's region-I pair before
     # the measurement is the closed form sech^6 r
-    _, measured = dense_protocol(FLAT, DualRailQubit(1.0, 0.0), 1)
+    measured = premeasure_weight(bell_resource(FLAT, 1))
     assert measured == pytest.approx(1.0, abs=1e-12)
     assert fidelity_analytic(FLAT) == 1.0
 
     params = SqueezeParams.from_tanh(0.5)
-    _, measured = dense_protocol(params, DualRailQubit(S, S), 25)
+    measured = premeasure_weight(bell_resource(params, 25))
     assert fidelity_analytic(params) == pytest.approx(27.0 / 64.0, abs=1e-12)
     assert measured == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0)
