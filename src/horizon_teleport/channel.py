@@ -53,10 +53,13 @@ EPSILON_DEFAULT = 1e-10
 EPSILON_MAX = 0.1
 CUTOFF_CAP = 100000
 
-# the largest cutoff a run takes, about 2 s: it sums Bob's norms in blocks
-# of _BLOCK levels, so its memory, 100 MB at most, does not grow with n_max
+# the largest cutoff a run takes, under 1 s: it sums Bob's norms in blocks
+# of _BLOCK levels, so its memory, 200 KB at most, does not grow with n_max.
+# OpenBLAS splits a dot of more than 10000 elements over its threads, which
+# moves the last digits of the sum with the thread count; a block stays
+# below that, so the output does not depend on the BLAS thread count
 CUTOFF_LIMIT = 2**27
-_BLOCK = 2**22
+_BLOCK = 2**13
 
 
 class DivergentSqueezing(Exception):
@@ -180,7 +183,7 @@ def _schmidt_norms(params: SqueezeParams, n_max: int) -> tuple[float, float]:
     """(norm, vacuum) of Bob's state at cutoff ``n_max``: the squared norm
     of either branch, the product of his rails' squared norms, and the
     product of their amplitudes at region-II vacuum.  Summed over blocks of
-    ``_BLOCK`` levels in order, so a run holds one block, about 100 MB."""
+    ``_BLOCK`` levels in order, so a run holds one block, about 200 KB."""
     zero_sq = one_sq = 0.0
     for start in range(0, n_max + 1, _BLOCK):
         zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))

@@ -20,10 +20,10 @@ by ";", so the field names are both the CSV columns and the JSON keys.
 Exit codes: 0 success, 1 validation failure (including a cutoff above
 ``channel.CUTOFF_LIMIT`` or a sweep grid above ``analysis.GRID_LIMIT``
 points), 2 divergent squeezing, 3 infeasible cutoff.  Output formats are
-deterministic byte for byte: floats carry 17 significant digits and lines
-end with LF.  ``HORIZON_TELEPORT_THREADS`` sets how many threads a sweep
-uses (0 or unset: one, the calling thread); the output does not depend on
-the thread count.
+deterministic byte for byte, whatever the BLAS thread count: floats carry
+17 significant digits and lines end with LF.  ``HORIZON_TELEPORT_THREADS``
+sets how many threads a sweep uses (0 or unset: one, the calling thread);
+the output does not depend on the thread count.
 """
 
 from __future__ import annotations

@@ -201,7 +201,7 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
 
     The run loses the dual-rail tail above ``n_max``, which
     ``channel.required_cutoff`` bounds.  Time is O(n_max), memory at most
-    about 100 MB; a cutoff above ``channel.CUTOFF_LIMIT`` raises
+    about 200 KB; a cutoff above ``channel.CUTOFF_LIMIT`` raises
     ``ValueError`` before any work.  Each row of ``BELL_TABLE`` is unitary
     over sqrt(2), so every outcome's probability is a quarter of the
     retained weight; when they fall below ``DEGENERATE_PROBABILITY`` the

@@ -1,6 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and one BLAS thread for the suite.
 
-import pytest
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when numpy is first imported, which
+is after this file loads.  The dense reference's ``eigh`` and ``tensordot``
+are small, and on more threads they spin whenever another process holds a
+CPU; a caller's own setting wins.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -93,9 +93,10 @@ def test_sweep_corner_values():
 
 
 def test_sweep_surface_is_monotone():
-    records = sweep(SweepGrid(radius_steps=6, omega_steps=6))
+    records = sweep(DEFAULT_GRID)
     fidelities = [r.fidelity_analytic for r in records]
-    rows = [fidelities[i * 6 : (i + 1) * 6] for i in range(6)]
+    steps = DEFAULT_GRID.omega_steps
+    rows = [fidelities[i : i + steps] for i in range(0, len(fidelities), steps)]
     for row in rows:  # increasing in omega at fixed radius
         assert all(a < b for a, b in zip(row, row[1:]))
     for column in zip(*rows):  # increasing in radius at fixed omega

@@ -17,7 +17,7 @@ from horizon_teleport.channel import (
     required_cutoff,
 )
 from horizon_teleport.teleport import fidelity_analytic
-from oracles import squeeze, squeezed, working_size
+from oracles import finite_cutoff_law, squeeze, squeezed, working_size
 
 # frozen closed-form evaluations, independent of the implementation
 ARTANH_EXP_NEG_PI = 0.04324084828357019  # artanh(e^-pi)
@@ -209,6 +209,33 @@ def test_vacuum_rail_coefficients_and_tail():
     assert zero @ zero == pytest.approx(1.0 - tail, abs=1e-13)
 
 
+def test_schmidt_coefficients_match_the_closed_forms_across_the_squeezing_range():
+    # beyond the squeezer's reach (r = 3 is tanh r = 0.995, cutoff 3140):
+    # every amplitude of both rails against tanh^m r / cosh r and
+    # sqrt(m + 1) tanh^m r / cosh^2 r, and each rail's kept weight against
+    # 1 - x^(n+1) and 1 - x^n (1 + n (1 - x)), x = tanh^2 r, all in
+    # 60-digit decimals from the exact decay
+    for r in np.linspace(0.0, 3.0, 13):
+        params = SqueezeParams.from_tanh(math.tanh(r))
+        n_max = required_cutoff(params, 1e-12)
+        zero, one = channel._schmidt_coefficients(params, n_max, 0, n_max + 1)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            tanh_r = (-Decimal(params.decay)).exp()
+            x = tanh_r * tanh_r
+            power, want_zero, want_one = Decimal(1), [], []
+            for m in range(n_max + 1):
+                want_zero.append(float(power * (1 - x).sqrt()))
+                want_one.append(float(power * Decimal(m + 1).sqrt() * (1 - x)) if m < n_max else 0.0)
+                power *= tanh_r
+            kept_zero = float(1 - x ** (n_max + 1))
+            kept_one = float(1 - x**n_max * (1 + n_max * (1 - x)))
+        for got, want in ((zero, np.array(want_zero)), (one, np.array(want_one))):
+            assert np.all(np.abs(got - want) <= 1e-14 * want), r
+        assert zero @ zero == pytest.approx(kept_zero, rel=0.0, abs=1e-13), r
+        assert one @ one == pytest.approx(kept_one, rel=0.0, abs=1e-13), r
+
+
 def test_tail_formulas_match_brute_series():
     for t, n_max in ((0.2, 3), (0.5, 7), (0.8, 25)):
         params = SqueezeParams.from_tanh(t)
@@ -258,7 +285,7 @@ def test_required_cutoff_boundaries():
 
 def test_required_cutoff_known_values():
     # (tanh r, epsilon): cutoff, each the first n whose dual-rail tail is
-    # within epsilon in a 60-digit search
+    # within epsilon in a 60-digit search, found under a cap raised to 10^7
     expected = {
         (0.1, 1e-10): 6,
         (0.3, 1e-10): 11,
@@ -272,12 +299,19 @@ def test_required_cutoff_known_values():
         (0.7, 1e-20): 70,
         (0.9, 1e-20): 237,
         (0.99, 1e-20): 2488,
+        (0.9, 1e-10): 125,
+        (0.99, 1e-10): 1312,
+        (0.9999, 1e-10): 131850,
+        (0.99999, 1e-10): 1318555,
     }
     for (t, epsilon), n in expected.items():
         params = SqueezeParams.from_tanh(t)
-        got = required_cutoff(params, epsilon)
+        got = required_cutoff(params, epsilon, hard_cap=10**7)
         assert got == n, (t, epsilon)
         assert dual_rail_tail(params, got) <= epsilon < dual_rail_tail(params, got - 1)
+        # and against the 60-digit tail, 1 - 4 p of the finite-cutoff law
+        exact = [1 - 4 * finite_cutoff_law(params.decay, k)[0] for k in (n, n - 1)]
+        assert exact[0] <= epsilon < exact[1], (t, epsilon)
 
 
 def test_required_cutoff_monotone_in_epsilon():

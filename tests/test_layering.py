@@ -10,13 +10,17 @@ writer: the CLI builds its CSV and JSON writers in ``_write_rows`` only,
 and hands it the records as they are, never a dict built from one.
 One horizon law: only ``SqueezeParams.decay`` and its inverse
 ``from_tanh`` read pi.  No host limits: the package reads no physical
-memory size and imports where ``os.sysconf`` does not exist."""
+memory size and imports where ``os.sysconf`` does not exist.  The mutant
+catalogue in ``tests/mutants.py`` still applies to the package and names
+tests that exist."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -241,3 +245,15 @@ def test_the_package_imports_without_os_sysconf():
     code = "import os; del os.sysconf; import horizon_teleport"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_catalogued_mutant_still_applies():
+    # tests/mutants.py changes each row's source text, once, in a copy of
+    # its file and runs the row's nodes there; a refactor that moves either
+    # must update the row
+    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 16
+    for mutant in MUTANTS:
+        assert (PACKAGE / mutant.file).read_text().count(mutant.source) == 1, mutant.id
+        for node in mutant.nodes:
+            path, name = node.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), node

@@ -251,13 +251,6 @@ def test_conditional_amplitudes_match_the_outcome_table(label):
     assert state[0, 0, 1, 0] == pytest.approx(y, abs=1e-12)
 
 
-def test_moderate_squeezing_matches_the_closed_form():
-    params = SqueezeParams.from_tanh(0.5)
-    outcomes = run_protocol(params, DualRailQubit(S, S), 25).outcomes
-    for o in outcomes:
-        assert o.fidelity == pytest.approx(27.0 / 64.0, abs=1e-6)
-
-
 def test_unit_radius_point_matches_the_closed_form():
     params = SqueezeParams(0.5, 1.0)
     run = run_protocol(params, DualRailQubit(1.0, 0.0), required_cutoff(params, 1e-10))
@@ -331,19 +324,22 @@ DIVERGENT = SqueezeParams(1e-3, 1e-4)
 
 
 def _traced_peak(n_max):
+    qubit = _seeded_qubit(5)
     tracemalloc.start()
     try:
-        run_protocol(DIVERGENT, _seeded_qubit(5), n_max)
+        run_protocol(DIVERGENT, qubit, n_max)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_a_runs_peak_memory_is_one_block_whatever_the_cutoff():
-    # one block (about 100 MB) against three blocks and 7 levels: a run
-    # that held Bob's whole vectors would peak three times higher
+    # one block against three blocks and 7 levels, within one block's array
+    # of doubles: a run that held Bob's whole vectors would peak three times
+    # higher, and one that kept the last block while building the next, two
+    # arrays higher
     one_block = _traced_peak(channel._BLOCK - 1)
-    assert abs(_traced_peak(3 * channel._BLOCK + 7) - one_block) <= 1e6, one_block
+    assert abs(_traced_peak(3 * channel._BLOCK + 7) - one_block) <= 8 * channel._BLOCK, one_block
 
 
 @pytest.mark.parametrize(
@@ -419,16 +415,6 @@ def test_nine_inputs_certify_that_no_outcome_depends_on_the_input(route, tanh_r,
     assert np.max(np.abs(coefficients[1:])) <= 1e-14, coefficients[1:]
 
 
-def test_probabilities_complete_up_to_truncation_loss():
-    params = SqueezeParams.from_tanh(0.5)
-    for n_max in (6, 12):
-        outcomes = run_protocol(params, DualRailQubit(0.6, 0.8), n_max).outcomes
-        zero_tail, one_tail, _ = channel._tails(params)(n_max)
-        loss = 1.0 - (1.0 - zero_tail) * (1.0 - one_tail)
-        total = sum(o.probability for o in outcomes)
-        assert total + loss == pytest.approx(1.0, abs=1e-10)
-
-
 # squeezing drawn two ways: tanh r up to 1 - 1e-7 through from_tanh, and
 # (M, Omega) log-uniform over [1e-2, 1e2]^2 (M Omega >= 1e-4, tanh r <=
 # 0.99938), whose tanh r carries the rounding of a generic exp(-2 pi M Omega)
@@ -446,6 +432,8 @@ _SQUEEZINGS = st.one_of(
 @example(params=SqueezeParams.from_tanh(1.0 - 1e-7), n_max=1, seed=0)
 @example(params=SqueezeParams.from_tanh(0.0), n_max=1, seed=0)
 @example(params=SqueezeParams(0.01, 0.01), n_max=2000, seed=0)
+@example(params=SqueezeParams(10.0, 10.0), n_max=1, seed=0)  # 0 < r < 1e-100
+@example(params=SqueezeParams.from_tanh(0.99999), n_max=1318555, seed=0)  # its 1e-10 cutoff
 def test_every_outcome_follows_the_finite_cutoff_law(params, n_max, seed):
     # p = K / 4 and F = (1 - x)^3 / K exactly, for any input; a run raises
     # where the law puts p below DEGENERATE_PROBABILITY
@@ -497,15 +485,6 @@ def test_generic_point_keeps_the_predicted_weight():
     expected = (1.0 - dual_rail_tail(params, n_max)) / 4
     for o in run_protocol(params, DualRailQubit(S, S), n_max).outcomes:
         assert o.probability == pytest.approx(expected, rel=1e-13, abs=0.0), o.label
-
-
-def test_reported_values_stay_in_bounds():
-    for t, n_max in ((0.3, 8), (0.7, 12)):
-        params = SqueezeParams.from_tanh(t)
-        outcomes = run_protocol(params, DualRailQubit(1.0, 0.0), n_max).outcomes
-        for o in outcomes:
-            assert 0.0 <= o.probability <= 1.0
-            assert 0.0 <= o.fidelity <= 1.0 + 1e-12
 
 
 def test_a_run_reports_python_floats():
