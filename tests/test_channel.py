@@ -209,6 +209,19 @@ def test_vacuum_rail_coefficients_and_tail():
     assert zero @ zero == pytest.approx(1.0 - tail, abs=1e-13)
 
 
+def test_thermal_occupation_matches_planck_law():
+    # region I of the squeezed vacuum S(r)|0, 0>, r from (M, Omega), holds
+    # m photons with weight |amplitude of |m, m>|^2
+    for product in (0.1, 0.25, 0.5):
+        params = SqueezeParams(1.0, product)
+        amplitudes, _ = squeezed(params.r_squeeze, 0, 60)
+        mean = float(np.arange(61) @ amplitudes**2)
+        sinh_sq = (params.tanh_r * params.cosh_r) ** 2
+        planck = 1.0 / (math.exp(4.0 * math.pi * product) - 1.0)
+        assert mean == pytest.approx(sinh_sq, abs=1e-8)
+        assert mean == pytest.approx(planck, abs=1e-8)
+
+
 def test_schmidt_coefficients_match_the_closed_forms_across_the_squeezing_range():
     # beyond the squeezer's reach (r = 3 is tanh r = 0.995, cutoff 3140):
     # every amplitude of both rails against tanh^m r / cosh r and

@@ -73,6 +73,19 @@ def test_fidelity_mass_and_radius_agree(capsys):
     assert by_radius == by_mass
 
 
+def test_fidelity_json_matches_csv(capsys):
+    assert run_cli(["fidelity", "--radius", "0.25", "--omega", "0.5"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    record = dict(zip(header, rows[0]))
+
+    assert run_cli(["fidelity", "--radius", "0.25", "--omega", "0.5", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert set(entry) == set(analysis.SweepRecord._fields)
+    for field in ("radius", "omega", "mass", "r_squeeze", "fidelity_analytic"):
+        assert float(record[field]) == entry[field]
+    assert entry["fidelity_numeric"] is None and record["fidelity_numeric"] == ""
+
+
 def test_fidelity_validation_exit_codes(capsys):
     assert run_cli(["fidelity", "--radius", "0", "--omega", "1"]) == 1
     assert run_cli(["fidelity", "--radius", "-2", "--omega", "1"]) == 1
@@ -140,6 +153,40 @@ def test_simulate_reported_loss_stays_within_epsilon(capsys):
     assert float(summary["truncation_loss"]) <= 1e-10
 
 
+def test_simulate_json_format(capsys):
+    assert run_cli(
+        ["simulate", "--mass", "0.5", "--omega", "1", "--beta-re", "1", "--alpha-re", "0", "--format", "json"]
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {
+        "outcomes", "fidelity_analytic", "abs_deviation", "n_max", "truncation_loss",
+    }
+    assert [o["label"] for o in data["outcomes"]] == ["00", "01", "10", "11"]
+    assert data["abs_deviation"] <= 1e-6
+
+
+def test_simulate_csv_and_json_carry_identical_values(capsys):
+    args = ["simulate", "--mass", "1", "--omega", "0.11", "--alpha-re", "0.6", "--beta-im", "0.8"]
+    assert run_cli(args) == 0
+    text = capsys.readouterr().out
+    assert run_cli(args + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+
+    header, rows = parse_csv(text)
+    assert len(rows) == len(data["outcomes"]) == 4
+    for row, entry in zip(rows, data["outcomes"]):
+        assert list(entry) == header
+        record = dict(zip(header, row))
+        assert (record["label"], record["flags"]) == (entry["label"], entry["flags"])
+        for field in ("probability", "fidelity"):
+            assert float(record[field]) == entry[field]  # 17 digits round-trip exactly
+    summary = parse_summary_comments(text)
+    assert list(summary) == [key for key in data if key != "outcomes"]
+    assert int(summary["n_max"]) == data["n_max"]
+    for key in ("fidelity_analytic", "abs_deviation", "truncation_loss"):
+        assert float(summary[key]) == data[key]
+
+
 def test_simulate_validation_exit_codes(capsys):
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--beta-re", "1"]) == 1
     assert run_cli(["simulate", "--mass", "1", "--omega", "1", "--epsilon", "0.5"]) == 1
@@ -185,6 +232,36 @@ def test_sweep_default_grid_rows_and_determinism(tmp_path):
     lines = data.decode("ascii").split("\n")
     assert lines[0] == ",".join(analysis.SweepRecord._fields)
     assert len(lines) == 1 + 2500 + 1  # header + records + trailing LF
+
+
+def test_sweep_csv_and_json_carry_identical_values(tmp_path):
+    args = [
+        "sweep",
+        "--radius-min", "0.5", "--radius-max", "1", "--radius-steps", "3",
+        "--omega-min", "0.5", "--omega-max", "1", "--omega-steps", "2",
+        "--mode", "with-simulation", "--max-cutoff", "25",
+    ]
+    csv_path = tmp_path / "out.csv"
+    json_path = tmp_path / "out.json"
+    assert run_cli(args + ["--out", str(csv_path)]) == 0
+    assert run_cli(args + ["--out", str(json_path), "--format", "json"]) == 0
+
+    header, rows = parse_csv(csv_path.read_text())
+    entries = json.loads(json_path.read_text())
+    assert len(rows) == len(entries) == 6
+    for row, entry in zip(rows, entries):
+        record = dict(zip(header, row))
+        for field in analysis.SweepRecord._fields:
+            cell, value = record[field], entry[field]
+            if field == "flags":
+                assert cell == value
+            elif cell == "":
+                assert value is None
+            elif field == "n_max":
+                assert int(cell) == value
+            else:
+                assert float(cell) == value  # 17 digits round-trip exactly
+        assert abs(entry["fidelity_numeric"] - entry["fidelity_analytic"]) <= 1e-6
 
 
 def test_sweep_reported_loss_stays_within_epsilon(tmp_path):
@@ -332,6 +409,16 @@ def test_a_sweep_holds_the_same_memory_per_point_on_the_thread_pool(tmp_path, mo
 # ---------------------------------------------------------------- converge
 
 
+def test_converge_table_on_stdout(capsys):
+    assert run_cli(["converge", "--tanh-r", "0.5", "--cutoffs", "5,10,20,30"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header == list(analysis.ConvergenceRow._fields)
+    assert [int(r[0]) for r in rows] == [5, 10, 20, 30]
+    errors = [float(r[1]) for r in rows]
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+    assert errors[-1] <= 1e-6
+
+
 def test_converge_flat_and_file_output(tmp_path, capsys):
     # flat space, and the overflowed 2 pi M Omega of the simulate test above
     for geometry in (["--tanh-r", "0"], ["--mass", "1e308", "--omega", "10"]):
@@ -349,6 +436,12 @@ def test_converge_flat_and_file_output(tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert out.read_text() == stdout
+
+
+def test_converge_accepts_mass_and_omega(capsys):
+    assert run_cli(["converge", "--mass", "0.5", "--omega", "1", "--cutoffs", "2,4"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 2
 
 
 def test_cutoff_above_the_limit_exits_1(capsys, monkeypatch):

@@ -251,6 +251,46 @@ def test_conditional_amplitudes_match_the_outcome_table(label):
     assert state[0, 0, 1, 0] == pytest.approx(y, abs=1e-12)
 
 
+def test_moderate_squeezing_matches_the_closed_form():
+    params = SqueezeParams.from_tanh(0.5)
+    outcomes = run_protocol(params, DualRailQubit(S, S), 25).outcomes
+    for o in outcomes:
+        assert o.fidelity == pytest.approx(27.0 / 64.0, abs=1e-6)
+
+
+def test_flat_space_limit_recovers_exact_teleportation():
+    params = SqueezeParams(10.0, 10.0)  # huge M*Omega: r < 1e-100 but nonzero
+    assert 0.0 < params.r_squeeze < 1e-100
+    outcomes = run_protocol(params, DualRailQubit(0.6, 0.8j), required_cutoff(params, 1e-10)).outcomes
+    for outcome in outcomes:
+        assert outcome.probability == pytest.approx(0.25, abs=1e-10)
+        assert outcome.fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+def test_strong_squeezing_matches_the_analytic_law():
+    # beyond the reach of a dense Fock simulation: cutoffs 125, 1312,
+    # 131850 and 1318555 (tanh r 0.9 to 0.99999), whose values
+    # test_required_cutoff_known_values holds to a 60-digit search.  F falls
+    # to about 8e-15, where the absolute gate says nothing, so the outcome
+    # probabilities and F (1 - loss) are held to the closed forms as well.
+    rng = np.random.default_rng(20261018)
+    for t in (0.9, 0.99, 0.9999, 0.99999):
+        params = SqueezeParams.from_tanh(t)
+        expected = (1.0 - t * t) ** 3
+        n_max = required_cutoff(params, 1e-10, hard_cap=10**7)
+        kept = 1.0 - dual_rail_tail(params, n_max)
+        for _ in range(3):
+            raw = rng.normal(size=4)
+            raw /= math.sqrt(float(np.sum(raw**2)))
+            qubit = DualRailQubit(raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+            for outcome in run_protocol(params, qubit, n_max).outcomes:
+                assert abs(outcome.fidelity - expected) <= 1e-6, (t, outcome.label)
+                assert outcome.probability == pytest.approx(kept / 4, abs=1e-13), t
+                assert outcome.fidelity * kept == pytest.approx(
+                    fidelity_analytic(params), rel=1e-12, abs=0.0
+                ), (t, outcome.label)
+
+
 def test_unit_radius_point_matches_the_closed_form():
     params = SqueezeParams(0.5, 1.0)
     run = run_protocol(params, DualRailQubit(1.0, 0.0), required_cutoff(params, 1e-10))
@@ -342,9 +382,12 @@ def test_a_runs_peak_memory_is_one_block_whatever_the_cutoff():
     assert abs(_traced_peak(3 * channel._BLOCK + 7) - one_block) <= 8 * channel._BLOCK, one_block
 
 
+# the block size's own boundaries, and those of 2**22, where blocks sat
+# before they were cut below the size at which OpenBLAS splits a dot over
+# its threads: still block boundaries, now hundreds of blocks in
 @pytest.mark.parametrize(
     "n_max",
-    [channel._BLOCK - 1, channel._BLOCK, 5 * 10**6, 3 * channel._BLOCK + 7],
+    [channel._BLOCK - 1, channel._BLOCK, 5 * 10**6, 3 * channel._BLOCK + 7, 2**22 - 1, 2**22, 3 * 2**22 + 7],
 )
 def test_runs_across_block_boundaries_follow_the_finite_cutoff_law(n_max):
     probability, fidelity = finite_cutoff_law(DIVERGENT.decay, n_max)
@@ -413,6 +456,16 @@ def test_nine_inputs_certify_that_no_outcome_depends_on_the_input(route, tanh_r,
     # rounding: the inverse design's rows sum to at most 19 in modulus, so
     # values good to a few ulps of 0.25 leave about 1e-15 (1.4e-15 measured)
     assert np.max(np.abs(coefficients[1:])) <= 1e-14, coefficients[1:]
+
+
+def test_probabilities_complete_up_to_truncation_loss():
+    params = SqueezeParams.from_tanh(0.5)
+    for n_max in (6, 12):
+        outcomes = run_protocol(params, DualRailQubit(0.6, 0.8), n_max).outcomes
+        zero_tail, one_tail, _ = channel._tails(params)(n_max)
+        loss = 1.0 - (1.0 - zero_tail) * (1.0 - one_tail)
+        total = sum(o.probability for o in outcomes)
+        assert total + loss == pytest.approx(1.0, abs=1e-10)
 
 
 # squeezing drawn two ways: tanh r up to 1 - 1e-7 through from_tanh, and
@@ -485,6 +538,15 @@ def test_generic_point_keeps_the_predicted_weight():
     expected = (1.0 - dual_rail_tail(params, n_max)) / 4
     for o in run_protocol(params, DualRailQubit(S, S), n_max).outcomes:
         assert o.probability == pytest.approx(expected, rel=1e-13, abs=0.0), o.label
+
+
+def test_reported_values_stay_in_bounds():
+    for t, n_max in ((0.3, 8), (0.7, 12)):
+        params = SqueezeParams.from_tanh(t)
+        outcomes = run_protocol(params, DualRailQubit(1.0, 0.0), n_max).outcomes
+        for o in outcomes:
+            assert 0.0 <= o.probability <= 1.0
+            assert 0.0 <= o.fidelity <= 1.0 + 1e-12
 
 
 def test_a_run_reports_python_floats():
