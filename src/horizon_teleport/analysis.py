@@ -129,15 +129,15 @@ def _evaluate_point(
     except channel.DivergentSqueezing:
         return SweepRecord(radius, omega, mass, None, 0.0, flags=("divergent",))
 
-    record = SweepRecord(radius, omega, mass, params.r_squeeze, teleport.fidelity_analytic(params))
+    r_squeeze, analytic = params.r_squeeze, teleport.fidelity_analytic(params)
     if mode == "analytic-only":
-        return record
+        return SweepRecord(radius, omega, mass, r_squeeze, analytic)
     try:
         n_max = channel.required_cutoff(params, epsilon, hard_cap=max_cutoff)
     except channel.CutoffInfeasible:
-        return record._replace(flags=("cutoff-capped",))
+        return SweepRecord(radius, omega, mass, r_squeeze, analytic, flags=("cutoff-capped",))
     run = teleport.run_protocol(params, probe, n_max)
-    return record._replace(fidelity_numeric=run.fidelity, n_max=n_max, truncation_loss=run.loss)
+    return SweepRecord(radius, omega, mass, r_squeeze, analytic, run.fidelity, n_max, run.loss)
 
 
 def sweep(

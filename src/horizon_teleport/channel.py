@@ -60,6 +60,12 @@ CUTOFF_CAP = 100000
 # below that, so the output does not depend on the BLAS thread count
 CUTOFF_LIMIT = 2**27
 _BLOCK = 2**13
+# a block's levels m = 0.._BLOCK - 1 as doubles, and sqrt(m + 1), the
+# photon rail's factor on the first block
+_LEVELS = np.arange(float(_BLOCK))
+_ROOTS = np.sqrt(_LEVELS + 1.0)
+_LEVELS.setflags(write=False)
+_ROOTS.setflags(write=False)
 
 
 class DivergentSqueezing(Exception):
@@ -156,24 +162,31 @@ def _schmidt_coefficients(
     params: SqueezeParams, n_max: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of the vacuum and one-photon embeddings at cutoff n_max
-    by region-II occupation m = start..stop - 1.
+    by region-II occupation m = start..stop - 1, at most ``_BLOCK`` levels.
 
     The vacuum embedding puts tanh^m r / cosh r on |m, m>_(I, II) and the
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
     """
-    # three arrays, the levels (reused for the photon rail), the powers and
-    # the vacuum rail: every other pass runs in place, 16 bytes per level less
-    m = np.arange(float(start), float(stop))
+    # the levels m come from the read-only table _LEVELS, plus start, and
+    # the first block, the only one most runs have, reads sqrt(m+1) from
+    # _ROOTS; each amplitude is still exp(-decay m) of its own level.  Three
+    # arrays, the powers, the vacuum rail and the photon rail (a later
+    # block builds its levels in the last and takes their roots in place)
+    size = stop - start
+    m = _LEVELS[:size] + start if start else _LEVELS[:size]
     # exp(-x) underflows to 0.0 for every x above 745, so capping the decay
     # at 1e3 changes no amplitude and keeps decay * m finite: an infinite
     # decay (2 pi M Omega overflowed) would make tanh^0 r exp(-inf * 0) = NaN
     powers = m * -min(params.decay, 1e3)
     np.exp(powers, out=powers)
     zero = powers / params.cosh_r
-    m += 1.0
-    one = np.sqrt(m, out=m)
-    one *= powers
+    if start:
+        m += 1.0
+        one = np.sqrt(m, out=m)
+        one *= powers
+    else:
+        one = _ROOTS[:size] * powers
     one *= params.sech2_r
     one[n_max - start :] = 0.0  # level n_max, if this range reaches it
     return zero, one
@@ -188,7 +201,7 @@ def _schmidt_norms(params: SqueezeParams, n_max: int) -> tuple[float, float]:
     for start in range(0, n_max + 1, _BLOCK):
         zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))
         if not start:
-            vacuum = float(one[0]) * float(zero[0])
+            vacuum = one.item(0) * zero.item(0)
         zero_sq += float(zero.dot(zero))
         one_sq += float(one.dot(one))
         del zero, one  # before the next block is built
@@ -229,6 +242,33 @@ def check_budget(epsilon: float, hard_cap: int) -> None:
         raise ValueError(f"cutoff cap {hard_cap} is above the limit of {CUTOFF_LIMIT} levels")
 
 
+def _cutoff_estimate(params: SqueezeParams, epsilon: float) -> float:
+    """The real cutoff n at which the dual-rail tail of ``_tails`` falls to
+    ``epsilon``, by Newton's method in y = 2 decay n.
+
+    With x = tanh^2 r, x^n = exp(-y) and k = 1 + n (1 - x), the tail is
+    zero + one (1 - zero) = exp(-y) g with g = x + k - x k exp(-y), so the
+    root solves ln g - y = ln epsilon, at y >= ln(1 / epsilon) as g >= 1.
+    The start is that root with the last term of g dropped and k read at
+    y = ln(1 / epsilon).  ln g - y is concave and falling in y, so every
+    step after the first comes down to the root from above and exp(-y)
+    stays below 0.1.  The steps stop once one moves y by less than a
+    quarter level."""
+    decay, sech2 = 2.0 * params.decay, params.sech2_r
+    x, slope = 1.0 - sech2, sech2 / decay  # k = 1 + slope y
+    budget = -math.log(epsilon)
+    y = budget + math.log(1.0 + x + slope * budget)
+    for attempt in range(8):  # one to four steps reach it; eight bound the loop
+        t = math.exp(-y)
+        k = 1.0 + slope * y
+        g = x + k - x * k * t
+        step = (math.log(g) - y + budget) / ((slope - x * slope * t + x * k * t) / g - 1.0)
+        y -= step
+        if abs(step) < 0.25 * decay:
+            break
+    return y / decay
+
+
 def required_cutoff(
     params: SqueezeParams, epsilon: float, hard_cap: int = CUTOFF_CAP
 ) -> int:
@@ -239,15 +279,37 @@ def required_cutoff(
     within ``epsilon`` up to rounding.  Monotone nonincreasing in epsilon.
     Raises ``ValueError`` for a budget that ``check_budget`` refuses and
     ``CutoffInfeasible`` when even ``hard_cap`` cannot meet it.
+
+    The search estimates the cutoff, then checks the estimate with the
+    tail itself.  ``_cutoff_estimate`` solves for the real n at which the
+    tail falls to ``epsilon``, and its ceiling, held to [1, hard_cap], is
+    nearly always the answer.  From there the search gallops up, or down,
+    by steps of 1, 2, 4, ... until the tail crosses ``epsilon``, and then
+    bisects the last step.  So it returns the cutoff that a doubling and
+    bisection from 1 returns, wherever the computed tail falls as the
+    cutoff grows, but in two evaluations of the tail where the estimate is
+    right, and one where the cap is too low.
     """
     check_budget(epsilon, hard_cap)
 
     tails = _tails(params)  # reads params once, not at every step below
-    if tails(hard_cap)[2] > epsilon:
-        raise CutoffInfeasible(params.r_squeeze, epsilon, hard_cap)
-    lo, hi = 0, 1  # cutoff 0 drops the whole photon rail: tail 1 > epsilon
-    while tails(hi)[2] > epsilon:  # bracket by doubling, then bisect
-        lo, hi = hi, min(2 * hi, hard_cap)
+    n = min(max(math.ceil(_cutoff_estimate(params, epsilon)), 1), hard_cap)
+    if tails(n)[2] > epsilon:  # gallop up to a cutoff that meets the budget
+        lo, step = n, 1
+        while True:
+            if lo == hard_cap:
+                raise CutoffInfeasible(params.r_squeeze, epsilon, hard_cap)
+            hi = min(lo + step, hard_cap)
+            if tails(hi)[2] <= epsilon:
+                break
+            lo, step = hi, 2 * step
+    else:  # gallop down to one that misses it: cutoff 0 (tail 1) always does
+        hi, step = n, 1
+        while True:
+            lo = max(hi - step, 0)
+            if not lo or tails(lo)[2] > epsilon:
+                break
+            hi, step = lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tails(mid)[2] > epsilon:

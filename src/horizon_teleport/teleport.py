@@ -216,18 +216,18 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
 
     # the probabilities add in turn: sum() of floats compensates the
     # rounding from Python 3.12 on, which would move the printed loss
-    outcomes, retained, weighted = [], 0.0, 0.0
-    for label, weight, (a0, a1), terms in qubit._bell_terms:
+    outcomes, retained, weighted, degenerate = [], 0.0, 0.0, False
+    signed = vacuum, -vacuum  # indexed by a term's negate flag
+    for label, weight, (a0, a1), ((product0, negate0), (product1, negate1)) in qubit._bell_terms:
         norm_sq = a0 * norm + a1 * norm
         probability = weight * norm_sq
-        overlap = 0.0
-        for product, negate in terms:
-            overlap += product * (-vacuum if negate else vacuum)
+        overlap = product0 * signed[negate0] + product1 * signed[negate1]
         fidelity = abs(overlap) ** 2 / norm_sq
         retained += probability
         weighted += probability * fidelity
+        degenerate = degenerate or probability < DEGENERATE_PROBABILITY
         outcomes.append(TeleportOutcome(label, probability, fidelity))
-    if any(o.probability < DEGENERATE_PROBABILITY for o in outcomes):
+    if degenerate:
         raise ValueError(
             f"all outcomes degenerate: they retain probability {retained:.3g} in all, "
             "so the cutoff truncates almost all of Bob's state; no average fidelity"

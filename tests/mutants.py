@@ -60,9 +60,19 @@ _CLOSED_FORMS = "tests/test_channel.py::test_schmidt_coefficients_match_the_clos
 _BLOCKS = "tests/test_teleport.py::test_runs_across_block_boundaries_follow_the_finite_cutoff_law"
 _BLOCK_CALL = "zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))"
 _RAILS = "(False, True, False, True), (False, False, True, True)"
+# sqrt(m + 1) on a later block; the first reads it from the table _ROOTS
+_ROOTS_LATER = "        m += 1.0\n        one = np.sqrt(m, out=m)\n        one *= powers\n"
+_SEARCH = "tests/test_channel.py::test_required_cutoff_is_the_first_cutoff_within_the_budget_from_any_estimate"
+_ESTIMATE = "    n = min(max(math.ceil(_cutoff_estimate(params, epsilon)), 1), hard_cap)\n"
 
 MUTANTS = (
-    Mutant("photon-sqrt-m", "channel.py", "    m += 1.0\n", "", (_CLOSED_FORMS, _LAW)),
+    Mutant(
+        "photon-sqrt-m",
+        "channel.py",
+        _ROOTS_LATER + "    else:\n        one = _ROOTS[:size] * powers\n",
+        _ROOTS_LATER.replace("        m += 1.0\n", "") + "    else:\n        one = np.sqrt(_LEVELS[:size]) * powers\n",
+        (_CLOSED_FORMS, _LAW),
+    ),
     Mutant("cosh-for-cosh2", "channel.py", "one *= params.sech2_r", "one /= params.cosh_r", (_CLOSED_FORMS, _LAW)),
     Mutant(
         "tanh-power",
@@ -172,6 +182,8 @@ MUTANTS = (
             "tests/test_analysis.py::test_a_cutoff_cap_above_the_limit_is_refused_before_the_axes",
         ),
     ),
+    Mutant("cutoff-estimate-unchecked", "channel.py", _ESTIMATE, _ESTIMATE + "    return n\n", (_SEARCH,)),
+    Mutant("gallop-up-one-level-high", "channel.py", "        lo, step = n, 1\n", "        lo, step = n + 1, 1\n", (_SEARCH,)),
     Mutant(
         "blocks-above-the-blas-split",
         "channel.py",

@@ -126,6 +126,21 @@ def test_every_simulated_point_of_the_default_surface_follows_the_finite_cutoff_
         assert r.truncation_loss == pytest.approx(float(1 - 4 * probability), rel=0.0, abs=2e-15)
 
 
+def test_the_hardest_point_of_the_whole_surface_follows_the_finite_cutoff_law():
+    # the default surface's four corners, none capped: its low corner,
+    # radius 1e-4 and omega 1e-3, needs the most levels of its 2500 points
+    corners = SweepGrid(radius_steps=2, omega_steps=2)
+    records = sweep(corners, mode="with-simulation", max_cutoff=channel.CUTOFF_LIMIT)
+    assert (records[0].radius, records[0].omega, records[0].n_max) == (1e-4, 1e-3, 41_971_110)
+    for r in records:
+        probability, fidelity = finite_cutoff_law(SqueezeParams(r.mass, r.omega).decay, r.n_max)
+        assert law_deviation(r.fidelity_numeric, fidelity) <= LAW_RTOL, (r.radius, r.omega)
+        # the kept weight K = 4 p is near 1 and summed over 5124 blocks at
+        # the low corner, so its loss 1 - K holds to the law's LAW_RTOL
+        # absolute (measured 4.5e-15 there), not to the 2e-15 of 1e5 levels
+        assert r.truncation_loss == pytest.approx(float(1 - 4 * probability), rel=0.0, abs=LAW_RTOL)
+
+
 def test_sweep_flags_points_beyond_the_cutoff_cap():
     grid = SweepGrid(radius_min=0.5, radius_max=1.0, omega_min=0.5, omega_max=1.0)
     records = sweep(grid, mode="with-simulation", max_cutoff=2)

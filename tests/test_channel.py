@@ -3,12 +3,17 @@ the coefficients held to the oracle's squeezer."""
 
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horizon_teleport import channel
 from horizon_teleport.channel import (
+    CUTOFF_LIMIT,
+    EPSILON_MAX,
     CutoffInfeasible,
     DivergentSqueezing,
     SqueezeParams,
@@ -343,3 +348,51 @@ def test_required_cutoff_infeasible_and_validation():
     for bad in (0.0, 1.0, -1e-3):
         with pytest.raises(ValueError):
             required_cutoff(params, bad)
+
+
+def _reference_cutoff(params, epsilon, hard_cap):
+    """The first cutoff whose dual-rail tail is within ``epsilon``, by
+    doubling from 1 and then bisecting; None when ``hard_cap`` misses it."""
+
+    def misses(n):
+        return dual_rail_tail(params, n) > epsilon
+
+    if misses(hard_cap):
+        return None
+    lo, hi = 0, 1  # cutoff 0 drops the whole photon rail
+    while misses(hi):
+        lo, hi = hi, min(2 * hi, hard_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if misses(mid) else (lo, mid)
+    return hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    params=st.floats(-9.0, math.log10(30.0)).map(lambda exponent: SqueezeParams(1.0, 10.0**exponent)),
+    epsilon=st.floats(-300.0, -1.0).map(lambda exponent: 10.0**exponent),
+    hard_cap=st.sampled_from([1, 37, 1000, 10**5, CUTOFF_LIMIT]),
+    offset=st.integers(-4, 4) | st.integers(-CUTOFF_LIMIT, CUTOFF_LIMIT),
+)
+@example(params=SqueezeParams.from_tanh(0.0), epsilon=1e-10, hard_cap=10**5, offset=0)  # flat space
+@example(params=SqueezeParams(1e-17, 1.0), epsilon=EPSILON_MAX, hard_cap=CUTOFF_LIMIT, offset=0)  # the edge
+@example(params=SqueezeParams(1.0, 1.0), epsilon=EPSILON_MAX, hard_cap=1, offset=0)
+@example(params=SqueezeParams(1.0, 1e-6), epsilon=EPSILON_MAX, hard_cap=CUTOFF_LIMIT, offset=0)
+@example(params=SqueezeParams.from_tanh(0.999), epsilon=1e-12, hard_cap=40, offset=0)  # infeasible
+@example(params=SqueezeParams.from_tanh(0.7), epsilon=1e-10, hard_cap=10**5, offset=-1)
+def test_required_cutoff_is_the_first_cutoff_within_the_budget_from_any_estimate(
+    params, epsilon, hard_cap, offset
+):
+    # the search starts from an estimate and checks it with the tail: moved
+    # by any number of levels, the estimate changes neither the cutoff nor
+    # the refusal, which are those of a plain doubling-and-bisection search
+    estimate = channel._cutoff_estimate
+    expected = _reference_cutoff(params, epsilon, hard_cap)
+    with mock.patch.object(channel, "_cutoff_estimate", lambda *args: estimate(*args) + offset):
+        if expected is None:
+            with pytest.raises(CutoffInfeasible) as info:
+                required_cutoff(params, epsilon, hard_cap)
+            assert info.value.hard_cap == hard_cap
+        else:
+            assert required_cutoff(params, epsilon, hard_cap) == expected
