@@ -107,11 +107,12 @@ class SqueezeParams:
     r_squeeze: float = field(init=False)
 
     def __post_init__(self) -> None:
-        t = self.tanh_r
+        decay = self.decay
+        t = math.exp(-decay)  # tanh r
         if not t < 1.0:
             raise DivergentSqueezing(self.mass * self.frequency)
         # artanh t = ln((1 + t) / (1 - t)) / 2 with 1 - t = -expm1(-decay)
-        r = 0.5 * math.log1p(2.0 * t / -math.expm1(-self.decay))
+        r = 0.5 * math.log1p(2.0 * t / -math.expm1(-decay))
         object.__setattr__(self, "r_squeeze", r)
 
     @property

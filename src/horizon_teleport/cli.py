@@ -16,6 +16,9 @@ their defaults come from ``analysis.DEFAULT_GRID``.  Every command prints
 through one writer, ``_write_rows``: a row is a record's NamedTuple fields
 (``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), its flags joined
 by ";", so the field names are both the CSV columns and the JSON keys.
+A CSV row is its cells joined by "," and ended by LF, written line by line
+without the ``csv`` module: no cell needs quoting, since numbers, empty
+cells, outcome labels, flags and field names hold no ",", '"', CR or LF.
 
 Exit codes: 0 success, 1 validation failure (including a cutoff above
 ``channel.CUTOFF_LIMIT`` or a sweep grid above ``analysis.GRID_LIMIT``
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -80,10 +82,15 @@ def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) ->
 
     A tuple value, a record's flags, prints joined by ";".  CSV takes its
     header from the first record's ``_fields``, prints floats with 17
-    significant digits (enough to round-trip any double) and None as an
-    empty cell, and follows the rows with one ``# key=value`` line per
-    ``summary`` item.  JSON writes each record's ``_asdict()`` and nests the
-    rows under "outcomes" beside the ``summary`` keys.
+    significant digits (enough to round-trip any double), None as an empty
+    cell and any other value as ``str``, and follows the rows with one
+    ``# key=value`` line per ``summary`` item.  Each row is its cells joined
+    by "," and ended by LF, which is what ``csv.writer`` would print: no
+    cell needs quoting, as none holds ",", '"', CR or LF.  A cell is a
+    formatted number, an empty cell, an outcome label, the flags
+    "divergent" and "cutoff-capped", or a field name.  JSON writes each
+    record's ``_asdict()`` and nests the rows under "outcomes" beside the
+    ``summary`` keys.
     """
     if fmt == "json":
         rows = [{k: ";".join(v) if isinstance(v, tuple) else v for k, v in r._asdict().items()} for r in rows]
@@ -99,13 +106,12 @@ def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) ->
         return [
             (text.get(v) or text.setdefault(v, "%.17g" % v) if v else "%.17g" % v)
             if isinstance(v, float)
-            else "" if v is None else ";".join(v) if isinstance(v, tuple) else v
+            else "" if v is None else ";".join(v) if isinstance(v, tuple) else str(v)
             for v in values
         ]
 
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(rows[0]._fields)
-    writer.writerows(cells(row) for row in rows)
+    fh.write(",".join(rows[0]._fields) + "\n")
+    fh.writelines(",".join(cells(row)) + "\n" for row in rows)
     if summary:
         for key, cell in zip(summary, cells(summary.values())):
             fh.write(f"# {key}={cell}\n")

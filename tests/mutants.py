@@ -64,6 +64,9 @@ _RAILS = "(False, True, False, True), (False, False, True, True)"
 _ROOTS_LATER = "        m += 1.0\n        one = np.sqrt(m, out=m)\n        one *= powers\n"
 _SEARCH = "tests/test_channel.py::test_required_cutoff_is_the_first_cutoff_within_the_budget_from_any_estimate"
 _ESTIMATE = "    n = min(max(math.ceil(_cutoff_estimate(params, epsilon)), 1), hard_cap)\n"
+_FLOAT_CELL = '(text.get(v) or text.setdefault(v, "%.17g" % v) if v else "%.17g" % v)'
+_CSV_MODULE = "tests/test_cli.py::test_csv_rows_are_what_the_csv_module_writes"
+_REPEATS = "tests/test_cli.py::test_csv_cells_follow_each_value_even_where_values_repeat"
 
 MUTANTS = (
     Mutant(
@@ -191,6 +194,9 @@ MUTANTS = (
         "_BLOCK = 2**22\n",
         ("tests/test_cli.py::test_the_output_does_not_depend_on_the_blas_thread_count",),
     ),
+    Mutant("zero-cached", "cli.py", _FLOAT_CELL, '(text.get(v) or text.setdefault(v, "%.17g" % v))', (_CSV_MODULE, _REPEATS)),
+    Mutant("sixteen-digits", "cli.py", _FLOAT_CELL, _FLOAT_CELL.replace("%.17g", "%.16g"), (_CSV_MODULE, _REPEATS)),
+    Mutant("none-as-str", "cli.py", 'else "" if v is None else ";".join(v)', 'else ";".join(v)', (_CSV_MODULE, _REPEATS)),
 )
 
 

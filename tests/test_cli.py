@@ -16,6 +16,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horizon_teleport import analysis, channel, cli, teleport
 from horizon_teleport.channel import SqueezeParams
@@ -521,6 +523,61 @@ def test_csv_cells_follow_each_value_even_where_values_repeat():
         "x,flags", "0,", "-0,a", "0,a;b", "0.10000000000000001,", "-0,a",
         "0.10000000000000001,a;b", ",", "nan,a", "3,a;b", "",
     ]
+
+
+_RECORDS = (analysis.SweepRecord, teleport.TeleportOutcome, analysis.ConvergenceRow)
+_FLAGS = ("divergent", "cutoff-capped")
+# the edges of the double: signed zeros, nan, infinities, subnormals, and a
+# value whose 17 digits differ from its 16
+_EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1)
+
+
+@st.composite
+def _written_rows(draw):
+    """(rows, summary): records of one type whose floats come from a small
+    pool, so values repeat, and optionally a summary like simulate's."""
+    record = draw(st.sampled_from(_RECORDS))
+    pool = draw(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=1, max_size=4))
+    number = st.sampled_from(pool) | st.none() | st.integers(-(2**70), 2**70)
+
+    def cell(name):
+        if name == "label":
+            return st.sampled_from(teleport.OUTCOME_LABELS)
+        if name == "flags":
+            return st.lists(st.sampled_from(_FLAGS), max_size=2, unique=True).map(tuple)
+        return number
+
+    rows = draw(st.lists(st.tuples(*map(cell, record._fields)).map(record._make), min_size=1, max_size=6))
+    keys = ("fidelity_analytic", "abs_deviation", "n_max", "truncation_loss")
+    summary = draw(st.none() | st.tuples(*[number] * len(keys)).map(lambda values: dict(zip(keys, values))))
+    return rows, summary
+
+
+def _csv_cell(value):
+    if isinstance(value, float):
+        return "%.17g" % value
+    return "" if value is None else ";".join(value) if isinstance(value, tuple) else str(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_written_rows())
+@example(([analysis.ConvergenceRow(v, v, None) for v in (0.0, -0.0, 0.1, 0.0)], None))
+def test_csv_rows_are_what_the_csv_module_writes(written):
+    # _write_rows joins its cells without quoting; that matches csv.writer
+    # because no field name, outcome label or flag holds a character that
+    # csv would quote, and formatted numbers never do
+    for text in (*(name for record in _RECORDS for name in record._fields), *teleport.OUTCOME_LABELS, *_FLAGS):
+        assert not set(text) & set(',"\r\n'), text
+    rows, summary = written
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(rows[0]._fields)
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    for key, value in (summary or {}).items():
+        expected.write(f"# {key}={_csv_cell(value)}\n")
+    out = io.StringIO()
+    cli._write_rows(rows, out, "csv", summary)
+    assert out.getvalue() == expected.getvalue()
 
 
 def _reads_back(cell, value):
