@@ -46,9 +46,9 @@ class SweepGrid:
     """Rectangular (radius, omega) grid, log-spaced on both axes between
     finite, positive edges, of at most ``GRID_LIMIT`` points.
 
-    Defaults reproduce the published fidelity surface: radius from 1e-4 to
-    1 and frequency from 1e-3 to 1, 50 steps each (the ranges span four and
-    three decades).
+    Defaults are the package's default surface: radius from 1e-4 to 1 and
+    frequency from 1e-3 to 1, 50 steps each (the ranges span four and three
+    decades).
     """
 
     radius_min: float = 1e-4

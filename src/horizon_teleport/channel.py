@@ -9,9 +9,9 @@ interior (region II).  The squeezing strength follows
 
 in Planck units (the two formulas are consistent: 1 - tanh^2 = cosh^-2).
 This is the package's convention since its first version, a Boltzmann
-factor at T = 1/(4 pi M).  One line, ``SqueezeParams.decay`` = 2 pi M Omega,
-holds it, and every formula here, ``r_squeeze`` included, reads that
-exponent.
+factor at T = 1/(4 pi M).  One line holds it: ``SqueezeParams`` sets its
+field ``decay`` = 2 pi M Omega once, at construction, and every formula
+here, ``sech2_r`` and ``r_squeeze`` included, reads that exponent.
 
 This module maps (M, Omega) to squeezing parameters, gives the channel
 images of the single-mode vacuum and one-photon states in Schmidt form,
@@ -97,45 +97,32 @@ class CutoffInfeasible(Exception):
 class SqueezeParams:
     """Channel strength derived from black-hole mass and mode frequency.
 
-    All quantities are dimensionless Planck-unit numbers.  ``r_squeeze`` is
-    computed at construction; ``DivergentSqueezing`` is raised when it does
-    not exist as a finite double.
+    All quantities are dimensionless Planck-unit numbers, computed once at
+    construction: ``decay`` = -ln tanh r = 2 pi M Omega, the horizon law
+    and the only place it is stated; ``sech2_r`` = 1 - tanh^2 r = 1 /
+    cosh^2 r, as -expm1(-2 decay) so it keeps full relative precision as
+    tanh r approaches 1; and ``r_squeeze``.  Every formula reads tanh^n r
+    as exp(-decay n), not as a power of the rounded tanh r, which drifts by
+    about n ulps.  ``DivergentSqueezing`` is raised when r does not exist
+    as a finite double.
     """
 
     mass: float
     frequency: float
+    decay: float = field(init=False)
+    sech2_r: float = field(init=False)
     r_squeeze: float = field(init=False)
 
     def __post_init__(self) -> None:
-        decay = self.decay
+        decay = 2.0 * math.pi * self.mass * self.frequency
         t = math.exp(-decay)  # tanh r
         if not t < 1.0:
             raise DivergentSqueezing(self.mass * self.frequency)
         # artanh t = ln((1 + t) / (1 - t)) / 2 with 1 - t = -expm1(-decay)
         r = 0.5 * math.log1p(2.0 * t / -math.expm1(-decay))
+        object.__setattr__(self, "decay", decay)
+        object.__setattr__(self, "sech2_r", -math.expm1(-2.0 * decay))
         object.__setattr__(self, "r_squeeze", r)
-
-    @property
-    def decay(self) -> float:
-        """-ln tanh r = 2 pi M Omega: the horizon law, stated here only.
-
-        Every formula reads tanh^n r as exp(-decay n), not as a power of
-        the rounded tanh r, which drifts by about n ulps."""
-        return 2.0 * math.pi * self.mass * self.frequency
-
-    @property
-    def tanh_r(self) -> float:
-        return math.exp(-self.decay)
-
-    @property
-    def sech2_r(self) -> float:
-        """1 - tanh^2 r = 1 / cosh^2 r, computed as -expm1(-2 decay) so it
-        keeps full relative precision as tanh r approaches 1."""
-        return -math.expm1(-2.0 * self.decay)
-
-    @property
-    def cosh_r(self) -> float:
-        return 1.0 / math.sqrt(self.sech2_r)
 
     @classmethod
     def from_tanh(cls, tanh_r: float) -> "SqueezeParams":
@@ -181,7 +168,8 @@ def _schmidt_coefficients(
     # decay (2 pi M Omega overflowed) would make tanh^0 r exp(-inf * 0) = NaN
     powers = m * -min(params.decay, 1e3)
     np.exp(powers, out=powers)
-    zero = powers / params.cosh_r
+    # divided by cosh r: a multiply by sqrt(sech2_r) would round apart
+    zero = powers / (1.0 / math.sqrt(params.sech2_r))
     if start:
         m += 1.0
         one = np.sqrt(m, out=m)
@@ -209,26 +197,16 @@ def _schmidt_norms(params: SqueezeParams, n_max: int) -> tuple[float, float]:
     return one_sq * zero_sq, vacuum
 
 
-def _tails(params: SqueezeParams):
-    """Vacuum, one-photon and dual-rail tail weights as one function of the
-    cutoff n: with x = tanh^2 r, x^(n+1), x^n (1 + n (1 - x)) and 1 - (1 -
-    zero)(1 - one).  x^n is read as exp(-2 decay n), and the last is summed
-    as zero + one (1 - zero), which does not round to 0 below 1e-16."""
-    decay, sech2 = 2.0 * params.decay, params.sech2_r
-
-    def tails(n: int) -> tuple[float, float, float]:
-        zero = math.exp(-decay * (n + 1))
-        one = math.exp(-decay * n) * (1.0 + n * sech2)
-        return zero, one, zero + one * (1.0 - zero)
-
-    return tails
-
-
-def dual_rail_tail(params: SqueezeParams, n_max: int) -> float:
-    """Tail weight lost by a dual-rail embedding, one rail carrying the
-    photon and the other the vacuum: the truncation loss, 1 - sum of
-    outcome probabilities, of a protocol run at cutoff n_max."""
-    return _tails(params)(n_max)[2]
+def _tails(params: SqueezeParams, n: int) -> tuple[float, float, float]:
+    """Vacuum, one-photon and dual-rail tail weights at cutoff n: with x =
+    tanh^2 r, x^(n+1), x^n (1 + n (1 - x)) and 1 - (1 - zero)(1 - one), the
+    last being what a protocol run at cutoff n loses.  x^n is read as
+    exp(-2 decay n), and the last is summed as zero + one (1 - zero), which
+    does not round to 0 below 1e-16."""
+    decay = 2.0 * params.decay
+    zero = math.exp(-decay * (n + 1))
+    one = math.exp(-decay * n) * (1.0 + n * params.sech2_r)
+    return zero, one, zero + one * (1.0 - zero)
 
 
 def check_budget(epsilon: float, hard_cap: int) -> None:
@@ -293,27 +271,26 @@ def required_cutoff(
     """
     check_budget(epsilon, hard_cap)
 
-    tails = _tails(params)  # reads params once, not at every step below
     n = min(max(math.ceil(_cutoff_estimate(params, epsilon)), 1), hard_cap)
-    if tails(n)[2] > epsilon:  # gallop up to a cutoff that meets the budget
+    if _tails(params, n)[2] > epsilon:  # gallop up to a cutoff that meets the budget
         lo, step = n, 1
         while True:
             if lo == hard_cap:
                 raise CutoffInfeasible(params.r_squeeze, epsilon, hard_cap)
             hi = min(lo + step, hard_cap)
-            if tails(hi)[2] <= epsilon:
+            if _tails(params, hi)[2] <= epsilon:
                 break
             lo, step = hi, 2 * step
     else:  # gallop down to one that misses it: cutoff 0 (tail 1) always does
         hi, step = n, 1
         while True:
             lo = max(hi - step, 0)
-            if not lo or tails(lo)[2] > epsilon:
+            if not lo or _tails(params, lo)[2] > epsilon:
                 break
             hi, step = lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tails(mid)[2] > epsilon:
+        if _tails(params, mid)[2] > epsilon:
             lo = mid
         else:
             hi = mid

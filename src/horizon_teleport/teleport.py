@@ -48,7 +48,7 @@ import numpy as np
 
 from . import channel
 from .channel import SqueezeParams
-from .fock import TOLERANCE, project
+from .fock import project
 
 __all__ = [
     "DualRailQubit",
@@ -93,6 +93,9 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # a run raises when each outcome carries less weight than this, instead of
 # renormalizing: its cutoff has truncated almost all of Bob's state
 DEGENERATE_PROBABILITY = 1e-14
+
+# numerical slack of the check on a qubit's norm
+TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)

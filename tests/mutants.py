@@ -58,6 +58,7 @@ class Mutant(NamedTuple):
 _LAW = "tests/test_teleport.py::test_every_outcome_follows_the_finite_cutoff_law"
 _CLOSED_FORMS = "tests/test_channel.py::test_schmidt_coefficients_match_the_closed_forms_across_the_squeezing_range"
 _BLOCKS = "tests/test_teleport.py::test_runs_across_block_boundaries_follow_the_finite_cutoff_law"
+_SMALL_BLOCKS = "tests/test_teleport.py::test_sector_route_matches_the_dense_oracle_at_every_cutoff_to_40"
 _BLOCK_CALL = "zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))"
 _RAILS = "(False, True, False, True), (False, False, True, True)"
 # sqrt(m + 1) on a later block; the first reads it from the table _ROOTS
@@ -76,12 +77,18 @@ MUTANTS = (
         _ROOTS_LATER.replace("        m += 1.0\n", "") + "    else:\n        one = np.sqrt(_LEVELS[:size]) * powers\n",
         (_CLOSED_FORMS, _LAW),
     ),
-    Mutant("cosh-for-cosh2", "channel.py", "one *= params.sech2_r", "one /= params.cosh_r", (_CLOSED_FORMS, _LAW)),
+    Mutant(
+        "cosh-for-cosh2",
+        "channel.py",
+        "one *= params.sech2_r",
+        "one *= math.sqrt(params.sech2_r)",
+        (_CLOSED_FORMS, _LAW),
+    ),
     Mutant(
         "tanh-power",
         "channel.py",
         "    powers = m * -min(params.decay, 1e3)\n    np.exp(powers, out=powers)\n",
-        "    powers = params.tanh_r**m\n",
+        "    powers = math.exp(-params.decay) ** m\n",
         (
             _CLOSED_FORMS,
             _LAW,
@@ -117,16 +124,22 @@ MUTANTS = (
         "channel.py",
         _BLOCK_CALL,
         _BLOCK_CALL.replace("n_max, start,", "n_max, start + (start > 0),"),
-        (_BLOCKS,),
+        (_SMALL_BLOCKS, _BLOCKS),
     ),
     Mutant(
         "blocks-overlap",
         "channel.py",
         _BLOCK_CALL,
         _BLOCK_CALL.replace("n_max, start,", "n_max, max(start - 1, 0),"),
-        (_BLOCKS,),
+        (_SMALL_BLOCKS, _BLOCKS),
     ),
-    Mutant("photon-zeroed-at-block-ends", "channel.py", "one[n_max - start :] = 0.0", "one[-1] = 0.0", (_BLOCKS,)),
+    Mutant(
+        "photon-zeroed-at-block-ends",
+        "channel.py",
+        "one[n_max - start :] = 0.0",
+        "one[-1] = 0.0",
+        (_SMALL_BLOCKS, _BLOCKS),
+    ),
     Mutant(
         "no-cutoff-limit",
         "teleport.py",
@@ -197,6 +210,20 @@ MUTANTS = (
     Mutant("zero-cached", "cli.py", _FLOAT_CELL, '(text.get(v) or text.setdefault(v, "%.17g" % v))', (_CSV_MODULE, _REPEATS)),
     Mutant("sixteen-digits", "cli.py", _FLOAT_CELL, _FLOAT_CELL.replace("%.17g", "%.16g"), (_CSV_MODULE, _REPEATS)),
     Mutant("none-as-str", "cli.py", 'else "" if v is None else ";".join(v)', 'else ";".join(v)', (_CSV_MODULE, _REPEATS)),
+    Mutant(
+        "degenerate-at-the-threshold",
+        "teleport.py",
+        "probability < DEGENERATE_PROBABILITY",
+        "probability <= DEGENERATE_PROBABILITY",
+        ("tests/test_teleport.py::test_a_run_raises_only_below_the_degenerate_probability",),
+    ),
+    Mutant(
+        "sech2-from-one-decay",
+        "channel.py",
+        "-math.expm1(-2.0 * decay)",
+        "-math.expm1(-decay)",
+        (_CLOSED_FORMS, _LAW),
+    ),
 )
 
 

@@ -191,6 +191,9 @@ def dense_protocol(resource: np.ndarray, qubit) -> list[tuple[str, float, float]
 # 3.7e-15 in p and 3.2e-15 in F, about 17 machine epsilons
 LAW_RTOL = 32 * sys.float_info.epsilon
 
+# pi to 60 significant digits, for closed forms in decimal arithmetic
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
 
 def finite_cutoff_law(decay: float, n_max: int) -> tuple[Decimal, Decimal]:
     """(probability, fidelity) of every outcome of a run at cutoff ``n_max``.

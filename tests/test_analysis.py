@@ -12,7 +12,7 @@ from horizon_teleport.analysis import (
     convergence_report,
     sweep,
 )
-from horizon_teleport.channel import SqueezeParams, dual_rail_tail
+from horizon_teleport.channel import SqueezeParams
 from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
 
 HIGH_CORNER = (1.0 - math.exp(-2.0 * math.pi)) ** 3
@@ -271,7 +271,7 @@ def test_convergence_report_error_decreases():
     # 1 - sum p is ulp noise below about 1e-15 (9.99e-16 at cutoff 30,
     # where the tail is 2.06e-17), so the gate is absolute, at a few ulps
     for n_max, _, loss in rows:
-        assert loss == pytest.approx(dual_rail_tail(params, n_max), rel=0.0, abs=2e-15)
+        assert loss == pytest.approx(channel._tails(params, n_max)[2], rel=0.0, abs=2e-15)
 
 
 def test_convergence_loss_shrinks_geometrically():

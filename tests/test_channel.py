@@ -17,18 +17,16 @@ from horizon_teleport.channel import (
     CutoffInfeasible,
     DivergentSqueezing,
     SqueezeParams,
-    dual_rail_tail,
     radius_to_mass,
     required_cutoff,
 )
 from horizon_teleport.teleport import fidelity_analytic
-from oracles import finite_cutoff_law, squeeze, squeezed, working_size
+from oracles import PI_60, finite_cutoff_law, squeeze, squeezed, working_size
 
 # frozen closed-form evaluations, independent of the implementation
 ARTANH_EXP_NEG_PI = 0.04324084828357019  # artanh(e^-pi)
 ARTANH_HALF = 0.5493061443340548
 PRODUCT_FOR_TANH_HALF = 0.1103178000763258  # ln 2 / (2 pi)
-PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 # ---------------------------------------------------------------- squeezing map
@@ -48,16 +46,16 @@ def test_closed_forms_keep_relative_precision_near_divergence(product):
         r_squeeze = float(((1 + t) / (1 - t)).ln() / 2)
     assert params.r_squeeze == pytest.approx(r_squeeze, rel=1e-14, abs=0.0)
     assert abs(fidelity_analytic(params) / fidelity - 1.0) <= 1e-14
-    assert abs(params.cosh_r**-2 / sech2 - 1.0) <= 1e-14
+    assert abs((1 / math.sqrt(params.sech2_r)) ** -2 / sech2 - 1.0) <= 1e-14
 
 
 def test_squeeze_param_spot_values():
     p = SqueezeParams(0.5, 1.0)
     assert p.r_squeeze == pytest.approx(ARTANH_EXP_NEG_PI, abs=1e-15)
-    assert p.tanh_r == pytest.approx(math.exp(-math.pi), abs=1e-16)
+    assert math.exp(-p.decay) == pytest.approx(math.exp(-math.pi), abs=1e-16)
 
     p = SqueezeParams(1.0, PRODUCT_FOR_TANH_HALF)
-    assert p.tanh_r == pytest.approx(0.5, abs=1e-15)
+    assert math.exp(-p.decay) == pytest.approx(0.5, abs=1e-15)
     assert p.r_squeeze == pytest.approx(ARTANH_HALF, abs=1e-14)
 
 
@@ -68,14 +66,15 @@ def test_squeeze_param_formula_consistency():
         omega = 10.0 ** rng.uniform(-3, 1)
         p = SqueezeParams(mass, omega)
         product = mass * omega
+        tanh_r, cosh_r = math.exp(-p.decay), 1 / math.sqrt(p.sech2_r)
         assert math.tanh(p.r_squeeze) == pytest.approx(
             math.exp(-2 * math.pi * product), abs=1e-12
         )
-        assert p.cosh_r == pytest.approx(
+        assert cosh_r == pytest.approx(
             (1 - math.exp(-4 * math.pi * product)) ** -0.5, rel=1e-10
         )
         # relative to cosh^2, the scale of the two cancelling terms
-        assert abs(p.cosh_r**2 - (p.tanh_r * p.cosh_r) ** 2 - 1.0) <= 1e-10 * p.cosh_r**2
+        assert abs(cosh_r**2 - (tanh_r * cosh_r) ** 2 - 1.0) <= 1e-10 * cosh_r**2
 
 
 def test_flat_limit_handled_without_error():
@@ -84,7 +83,7 @@ def test_flat_limit_handled_without_error():
 
     # the exponential underflows to exactly 0: flat space, not an error
     flat = SqueezeParams(100.0, 100.0)
-    assert flat.tanh_r == 0.0
+    assert math.exp(-flat.decay) == 0.0
     assert flat.r_squeeze == 0.0
 
 
@@ -118,7 +117,7 @@ def test_radius_to_mass():
 
 
 def test_from_tanh_and_from_r():
-    assert SqueezeParams.from_tanh(0.5).tanh_r == pytest.approx(0.5, abs=1e-15)
+    assert math.exp(-SqueezeParams.from_tanh(0.5).decay) == pytest.approx(0.5, abs=1e-15)
     assert SqueezeParams.from_tanh(0.0).r_squeeze == 0.0
     assert SqueezeParams.from_tanh(math.tanh(0.7)).r_squeeze == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def test_the_squeezers_tails_are_the_channels(tanh_r, n_max):
     # package truncates by; absolute, as each squeezed amplitude carries
     # about 1e-16 of rounding
     params = SqueezeParams.from_tanh(tanh_r)
-    zero, one, dual = channel._tails(params)(n_max)
+    zero, one, dual = channel._tails(params, n_max)
     (_, zero_tail), (_, one_tail) = (squeezed(params.r_squeeze, d, n_max) for d in (0, 1))
     assert [zero_tail, one_tail] == pytest.approx([zero, one], rel=0.0, abs=1e-15)
     assert zero_tail + one_tail * (1.0 - zero_tail) == pytest.approx(dual, rel=0.0, abs=1e-15)
@@ -209,7 +208,7 @@ def test_vacuum_rail_coefficients_and_tail():
     for n in range(n_max + 1):
         assert zero[n] == pytest.approx(0.5**n * inv_cosh, rel=1e-13, abs=0.0)
 
-    tail = channel._tails(params)(n_max)[0]
+    tail = channel._tails(params, n_max)[0]
     assert tail == pytest.approx(0.5 ** (2 * (n_max + 1)), rel=1e-13, abs=0.0)
     assert zero @ zero == pytest.approx(1.0 - tail, abs=1e-13)
 
@@ -221,7 +220,7 @@ def test_thermal_occupation_matches_planck_law():
         params = SqueezeParams(1.0, product)
         amplitudes, _ = squeezed(params.r_squeeze, 0, 60)
         mean = float(np.arange(61) @ amplitudes**2)
-        sinh_sq = (params.tanh_r * params.cosh_r) ** 2
+        sinh_sq = math.exp(-2.0 * params.decay) / params.sech2_r  # tanh^2 r cosh^2 r
         planck = 1.0 / (math.exp(4.0 * math.pi * product) - 1.0)
         assert mean == pytest.approx(sinh_sq, abs=1e-8)
         assert mean == pytest.approx(planck, abs=1e-8)
@@ -257,7 +256,7 @@ def test_schmidt_coefficients_match_the_closed_forms_across_the_squeezing_range(
 def test_tail_formulas_match_brute_series():
     for t, n_max in ((0.2, 3), (0.5, 7), (0.8, 25)):
         params = SqueezeParams.from_tanh(t)
-        zero_tail, one_tail, _ = channel._tails(params)(n_max)
+        zero_tail, one_tail, _ = channel._tails(params, n_max)
         x = t * t
         brute_zero = (1 - x) * sum(x**n for n in range(n_max + 1, 3000))
         assert zero_tail == pytest.approx(brute_zero, rel=1e-10)
@@ -279,7 +278,7 @@ def test_tails_keep_relative_precision_near_divergence(tanh_r, n_max):
         zero = x ** (n_max + 1)
         one = x**n_max * (1 + n_max * (1 - x))
         expected = [float(zero), float(one), float(1 - (1 - zero) * (1 - one))]
-    got = [*channel._tails(params)(n_max)[:2], dual_rail_tail(params, n_max)]
+    got = list(channel._tails(params, n_max))
     assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
@@ -292,11 +291,11 @@ def test_required_cutoff_boundaries():
     params = SqueezeParams.from_tanh(0.5)
     n = required_cutoff(params, 1e-12)
     assert n == 23
-    assert dual_rail_tail(params, n) <= 1e-12 < dual_rail_tail(params, n - 1)
+    assert channel._tails(params, n)[2] <= 1e-12 < channel._tails(params, n - 1)[2]
 
     loose = required_cutoff(params, 0.1)
     assert loose <= 3
-    assert dual_rail_tail(params, loose) <= 0.1
+    assert channel._tails(params, loose)[2] <= 0.1
     with pytest.raises(ValueError):
         required_cutoff(params, 0.5)  # the budget lies in (0, 0.1]
 
@@ -326,7 +325,7 @@ def test_required_cutoff_known_values():
         params = SqueezeParams.from_tanh(t)
         got = required_cutoff(params, epsilon, hard_cap=10**7)
         assert got == n, (t, epsilon)
-        assert dual_rail_tail(params, got) <= epsilon < dual_rail_tail(params, got - 1)
+        assert channel._tails(params, got)[2] <= epsilon < channel._tails(params, got - 1)[2]
         # and against the 60-digit tail, 1 - 4 p of the finite-cutoff law
         exact = [1 - 4 * finite_cutoff_law(params.decay, k)[0] for k in (n, n - 1)]
         assert exact[0] <= epsilon < exact[1], (t, epsilon)
@@ -355,7 +354,7 @@ def _reference_cutoff(params, epsilon, hard_cap):
     doubling from 1 and then bisecting; None when ``hard_cap`` misses it."""
 
     def misses(n):
-        return dual_rail_tail(params, n) > epsilon
+        return channel._tails(params, n)[2] > epsilon
 
     if misses(hard_cap):
         return None

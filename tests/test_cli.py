@@ -11,7 +11,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from horizon_teleport import analysis, channel, cli, teleport
 from horizon_teleport.channel import SqueezeParams
 from horizon_teleport.teleport import fidelity_analytic
-from oracles import LAW_RTOL, finite_cutoff_law, law_deviation
+from oracles import LAW_RTOL, PI_60, finite_cutoff_law, law_deviation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -217,6 +218,37 @@ def test_simulate_infeasible_cutoff_exits_3(capsys):
     # M Omega = 1e-4 needs cutoff 20986
     assert run_cli(["simulate", "--mass", "0.001", "--omega", "0.1", "--max-cutoff", "40"]) == 3
     assert "cutoff" in capsys.readouterr().err
+
+
+# the paper's claim as numbers: F = (1 - exp(-4 pi M W))^3 falls to a
+# threshold F* at M W* = -ln(1 - F*^(1/3)) / (4 pi).  F* = 2/3 is the best a
+# measure-and-prepare scheme reaches on an unknown qubit (Massar & Popescu,
+# PRL 74, 1259 (1995)); 0.9 and 0.99 are stricter marks.  Each with M W* to
+# five digits and the number of the default surface's 2500 points above it
+CROSSOVERS = [(Fraction(2, 3), "0.16458", 30), (Fraction(9, 10), "0.26790", 12), (Fraction(99, 100), "0.45363", 1)]
+
+
+@pytest.mark.parametrize("threshold, product, above", CROSSOVERS)
+def test_simulate_crosses_each_fidelity_threshold_where_the_closed_form_does(capsys, threshold, product, above):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cube = (Decimal(threshold.numerator) / threshold.denominator) ** (Decimal(1) / 3)
+        crossover = -(1 - cube).ln() / (4 * PI_60)
+    assert round(crossover, 5) == Decimal(product)
+    # a point 1e-6 below M W* squeezes harder and falls below F*, one 1e-6
+    # above rises over it: the fidelity moves by 5.7e-8 or more, the
+    # truncation by 1e-10 at most
+    for scale in (1 - 1e-6, 1 + 1e-6):
+        argv = ["simulate", "--mass", "1", "--omega", repr(float(crossover) * scale)]
+        assert run_cli(argv) == 0
+        text = capsys.readouterr().out
+        _assert_the_finite_cutoff_law(argv, text)
+        header, cells = parse_csv(text)
+        fidelities = [Decimal(row[header.index("fidelity")]) for row in cells]
+        assert len(fidelities) == 4
+        assert all((fidelity > threshold) == (scale > 1) for fidelity in fidelities), (scale, fidelities)
+    records = analysis.sweep(analysis.DEFAULT_GRID)
+    assert sum(record.fidelity_analytic > threshold for record in records) == above
 
 
 # ---------------------------------------------------------------- sweep

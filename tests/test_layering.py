@@ -9,11 +9,12 @@ and only ``channel`` holds the truncation budget to its range.  One row
 writer: the CLI joins its CSV lines and dumps its JSON in ``_write_rows``
 only, the package imports no ``csv``, and the CLI hands the writer the
 records as they are, never a dict built from one.
-One horizon law: only ``SqueezeParams.decay`` and its inverse
-``from_tanh`` read pi.  No host limits: the package reads no physical
-memory size and imports where ``os.sysconf`` does not exist.  The mutant
-catalogue in ``tests/mutants.py`` still applies to the package and names
-tests that exist."""
+One horizon law: only ``SqueezeParams.__post_init__``, which sets
+``decay``, and its inverse ``from_tanh`` read pi, and ``SqueezeParams``
+defines no property that could derive it again.  No host limits: the
+package reads no physical memory size and imports where ``os.sysconf``
+does not exist.  The mutant catalogue in ``tests/mutants.py`` still
+applies to the package and names tests that exist."""
 
 import ast
 import os
@@ -82,7 +83,7 @@ def _identifiers(path):
 
 
 def test_only_the_channel_reads_the_tail_weights():
-    tails = {"dual_rail_tail", "_tails"}
+    tails = {"_tails"}
     package = ROOT / "src" / "horizon_teleport"
     channel = package / "channel.py"
     assert tails <= set(_identifiers(channel))
@@ -214,14 +215,22 @@ def _scopes_reading_pi(node, scope):
 
 
 def test_the_horizon_law_is_stated_once():
-    # tanh r = exp(-2 pi M Omega) is SqueezeParams.decay and from_tanh its
-    # inverse; every other formula reads decay, so pi appears nowhere else
+    # tanh r = exp(-2 pi M Omega) is the field decay, set once in
+    # SqueezeParams.__post_init__, and from_tanh its inverse; every other
+    # formula reads the fields, so pi appears nowhere else, and no property
+    # computes a value from them again at every read
     reads = sorted(
         scope
         for path in sorted(PACKAGE.glob("*.py"))
         for scope in _scopes_reading_pi(ast.parse(path.read_text(), filename=str(path)), path.stem)
     )
-    assert reads == ["channel.SqueezeParams.decay", "channel.SqueezeParams.from_tanh"]
+    assert reads == ["channel.SqueezeParams.__post_init__", "channel.SqueezeParams.from_tanh"]
+    (params,) = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "channel.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "SqueezeParams"
+    ]
+    assert {"property", "cached_property"}.isdisjoint(_names_in(params))
 
 
 def test_the_cli_builds_no_row_dict():
@@ -266,7 +275,7 @@ def test_every_catalogued_mutant_still_applies():
     # tests/mutants.py changes each row's source text, once, in a copy of
     # its file and runs the row's nodes there; a refactor that moves either
     # must update the row
-    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 21
+    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 23
     for mutant in MUTANTS:
         assert (PACKAGE / mutant.file).read_text().count(mutant.source) == 1, mutant.id
         for node in mutant.nodes:

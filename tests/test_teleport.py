@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from horizon_teleport import channel, fock
-from horizon_teleport.channel import SqueezeParams, dual_rail_tail, required_cutoff
+from horizon_teleport import channel, fock, teleport
+from horizon_teleport.channel import SqueezeParams, required_cutoff
 from horizon_teleport.teleport import (
     BELL_TABLE,
     DEGENERATE_PROBABILITY,
@@ -87,8 +87,8 @@ def test_derived_cutoff_meets_its_own_budget(tanh_r, epsilon, n_max):
     # and 7 here); the dual-rail tail, the loss a run reports, is not
     params = SqueezeParams.from_tanh(tanh_r)
     assert required_cutoff(params, epsilon) == n_max
-    assert channel._tails(params)(n_max - 1)[1] <= epsilon
-    assert dual_rail_tail(params, n_max) <= epsilon < dual_rail_tail(params, n_max - 1)
+    assert channel._tails(params, n_max - 1)[1] <= epsilon
+    assert channel._tails(params, n_max)[2] <= epsilon < channel._tails(params, n_max - 1)[2]
     run = run_protocol(params, DualRailQubit(1.0, 0.0), n_max)
     assert 1.0 - sum(o.probability for o in run.outcomes) == run.loss <= epsilon
 
@@ -124,9 +124,6 @@ def test_bell_table_matches_the_fock_space_bell_states():
             assert weight == pytest.approx(fock_weight, abs=1e-15), label
             expected = np.array([v[1, 0], v[0, 1]]) / math.sqrt(fock_weight)
             np.testing.assert_allclose(ancilla, expected, rtol=0, atol=1e-15, err_msg=label)
-
-    with pytest.raises(ValueError, match="not normalized"):
-        fock.project(BELL_TABLE[0], np.array([1.0, 1.0]))
 
 
 def test_bell_resource_flat_limit_is_the_bell_state():
@@ -278,7 +275,7 @@ def test_strong_squeezing_matches_the_analytic_law():
         params = SqueezeParams.from_tanh(t)
         expected = (1.0 - t * t) ** 3
         n_max = required_cutoff(params, 1e-10, hard_cap=10**7)
-        kept = 1.0 - dual_rail_tail(params, n_max)
+        kept = 1.0 - channel._tails(params, n_max)[2]
         for _ in range(3):
             raw = rng.normal(size=4)
             raw /= math.sqrt(float(np.sum(raw**2)))
@@ -315,7 +312,10 @@ def test_outcomes_are_equivalent_after_correction():
     assert run.loss == 1.0 - retained
 
 
-def _assert_the_routes_agree(tanh_r, n_max, inputs):
+def _assert_the_routes_agree(tanh_r, n_max, inputs, blocks=(channel._BLOCK,)):
+    """The sector route against the dense oracle, built once per input and
+    held against a sector run that sums Bob's norms in blocks of each of
+    ``blocks`` levels."""
     params = SqueezeParams.from_tanh(tanh_r)
     resource = bell_resource(params, n_max)
     # Bob's single-excitation weight before the measurement is sech^6 r
@@ -323,12 +323,15 @@ def _assert_the_routes_agree(tanh_r, n_max, inputs):
     assert premeasure_weight(resource) == pytest.approx(fidelity_analytic(params), rel=1e-12, abs=0.0), n_max
     for k in range(inputs):
         qubit = _seeded_qubit(100 * n_max + int(10 * tanh_r) + 10000 * k)
-        for outcome, (label, probability, fidelity) in zip(
-            run_protocol(params, qubit, n_max).outcomes, dense_protocol(resource, qubit), strict=True
-        ):
-            assert (outcome.label, outcome.flags) == (label, ()), n_max
-            assert outcome.probability == pytest.approx(probability, abs=1e-12), n_max
-            assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), n_max
+        dense = dense_protocol(resource, qubit)
+        for block in blocks:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(channel, "_BLOCK", block)
+                outcomes = run_protocol(params, qubit, n_max).outcomes
+            for outcome, (label, probability, fidelity) in zip(outcomes, dense, strict=True):
+                assert (outcome.label, outcome.flags) == (label, ()), (n_max, block)
+                assert outcome.probability == pytest.approx(probability, abs=1e-12), (n_max, block)
+                assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), (n_max, block)
 
 
 @pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.7])
@@ -338,8 +341,12 @@ def test_sector_route_matches_the_dense_oracle(n_max, tanh_r):
 
 
 def test_sector_route_matches_the_dense_oracle_at_every_cutoff_to_40():
+    # in blocks of 1 and 3 levels as well as the real _BLOCK, so a block
+    # that drops, repeats or zeroes a level at its ends misses the oracle
+    # at cutoffs far below the real block; _LEVELS and _ROOTS are sliced by
+    # the block's size, so a smaller block reads them as the real one does
     for n_max in range(1, 41):
-        _assert_the_routes_agree(0.7, n_max, inputs=1)
+        _assert_the_routes_agree(0.7, n_max, inputs=1, blocks=(1, 3, channel._BLOCK))
 
 
 @pytest.mark.parametrize("tanh_r, limit_mb", [(0.7, 5), (0.99, 1)])
@@ -462,7 +469,7 @@ def test_probabilities_complete_up_to_truncation_loss():
     params = SqueezeParams.from_tanh(0.5)
     for n_max in (6, 12):
         outcomes = run_protocol(params, DualRailQubit(0.6, 0.8), n_max).outcomes
-        zero_tail, one_tail, _ = channel._tails(params)(n_max)
+        zero_tail, one_tail, _ = channel._tails(params, n_max)
         loss = 1.0 - (1.0 - zero_tail) * (1.0 - one_tail)
         total = sum(o.probability for o in outcomes)
         assert total + loss == pytest.approx(1.0, abs=1e-10)
@@ -535,7 +542,7 @@ def test_generic_point_keeps_the_predicted_weight():
     params = SqueezeParams(channel.radius_to_mass(1e-4), 0.068664884500430012)
     n_max = 611246
     assert required_cutoff(params, 1e-10, hard_cap=10**6) == n_max
-    expected = (1.0 - dual_rail_tail(params, n_max)) / 4
+    expected = (1.0 - channel._tails(params, n_max)[2]) / 4
     for o in run_protocol(params, DualRailQubit(S, S), n_max).outcomes:
         assert o.probability == pytest.approx(expected, rel=1e-13, abs=0.0), o.label
 
@@ -568,6 +575,20 @@ def test_a_run_that_truncates_almost_all_of_bobs_state_raises():
     assert DEGENERATE_PROBABILITY == 1e-14
     with pytest.raises(ValueError, match="retain probability .* cutoff truncates"):
         run_protocol(SqueezeParams(1e-3, 1e-4), make_qubit(0.6, 0.8j), 5)
+
+
+def test_a_run_raises_only_below_the_degenerate_probability(monkeypatch):
+    # tanh r 0.7, cutoff 5: every outcome carries 0.2218169964690618, so a
+    # threshold there is met, not undercut, and the run returns; one float
+    # above it, every outcome falls below it and the run raises
+    params, qubit = SqueezeParams.from_tanh(0.7), DualRailQubit(0.6, 0.8j)
+    least = min(o.probability for o in run_protocol(params, qubit, 5).outcomes)
+    assert least == 0.2218169964690618
+    monkeypatch.setattr(teleport, "DEGENERATE_PROBABILITY", least)
+    assert run_protocol(params, qubit, 5).outcomes[0].probability == least
+    monkeypatch.setattr(teleport, "DEGENERATE_PROBABILITY", math.nextafter(least, math.inf))
+    with pytest.raises(ValueError, match="degenerate"):
+        run_protocol(params, qubit, 5)
 
 
 def test_premeasure_weight_flat_and_squeezed():
