@@ -105,7 +105,7 @@ class SweepRecord(NamedTuple):
     fidelity_numeric: float | None = None
     n_max: int | None = None
     truncation_loss: float | None = None
-    flags: tuple[str, ...] = ()
+    flags: str = ""
 
 
 class ConvergenceRow(NamedTuple):
@@ -127,7 +127,7 @@ def _evaluate_point(
     try:
         params = channel.SqueezeParams(mass, omega)
     except channel.DivergentSqueezing:
-        return SweepRecord(radius, omega, mass, None, 0.0, flags=("divergent",))
+        return SweepRecord(radius, omega, mass, None, 0.0, flags="divergent")
 
     r_squeeze, analytic = params.r_squeeze, teleport.fidelity_analytic(params)
     if mode == "analytic-only":
@@ -135,7 +135,7 @@ def _evaluate_point(
     try:
         n_max = channel.required_cutoff(params, epsilon, hard_cap=max_cutoff)
     except channel.CutoffInfeasible:
-        return SweepRecord(radius, omega, mass, r_squeeze, analytic, flags=("cutoff-capped",))
+        return SweepRecord(radius, omega, mass, r_squeeze, analytic, flags="cutoff-capped")
     run = teleport.run_protocol(params, probe, n_max)
     return SweepRecord(radius, omega, mass, r_squeeze, analytic, run.fidelity, n_max, run.loss)
 

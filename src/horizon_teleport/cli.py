@@ -14,8 +14,8 @@ exits 1 before any point runs.  ``simulate`` prints the outcomes, fidelity
 and loss of one ``teleport.run_protocol`` call.  The sweep's grid flags and
 their defaults come from ``analysis.DEFAULT_GRID``.  Every command prints
 through one writer, ``_write_rows``: a row is a record's NamedTuple fields
-(``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), its flags joined
-by ";", so the field names are both the CSV columns and the JSON keys.
+(``SweepRecord``, ``TeleportOutcome``, ``ConvergenceRow``), so the field
+names are both the CSV columns and the JSON keys.
 A CSV row is its cells joined by "," and ended by LF, written line by line
 without the ``csv`` module: no cell needs quoting, since numbers, empty
 cells, outcome labels, flags and field names hold no ",", '"', CR or LF.
@@ -80,20 +80,19 @@ def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) ->
     """Write ``rows``, NamedTuple records of one type, as CSV or as a JSON
     list.
 
-    A tuple value, a record's flags, prints joined by ";".  CSV takes its
-    header from the first record's ``_fields``, prints floats with 17
-    significant digits (enough to round-trip any double), None as an empty
-    cell and any other value as ``str``, and follows the rows with one
-    ``# key=value`` line per ``summary`` item.  Each row is its cells joined
-    by "," and ended by LF, which is what ``csv.writer`` would print: no
-    cell needs quoting, as none holds ",", '"', CR or LF.  A cell is a
-    formatted number, an empty cell, an outcome label, the flags
-    "divergent" and "cutoff-capped", or a field name.  JSON writes each
-    record's ``_asdict()`` and nests the rows under "outcomes" beside the
-    ``summary`` keys.
+    CSV takes its header from the first record's ``_fields``, prints floats
+    with 17 significant digits (enough to round-trip any double), None as
+    an empty cell and any other value, a record's flag string among them,
+    as ``str``, and follows the rows with one ``# key=value`` line per
+    ``summary`` item.  Each row is its cells joined by "," and ended by LF,
+    which is what ``csv.writer`` would print: no cell needs quoting, as
+    none holds ",", '"', CR or LF.  A cell is a formatted number, an empty
+    cell, an outcome label, the flag "divergent" or "cutoff-capped", or a
+    field name.  JSON writes each record's ``_asdict()`` and nests the rows
+    under "outcomes" beside the ``summary`` keys.
     """
     if fmt == "json":
-        rows = [{k: ";".join(v) if isinstance(v, tuple) else v for k, v in r._asdict().items()} for r in rows]
+        rows = [r._asdict() for r in rows]
         json.dump(rows if summary is None else {"outcomes": rows, **summary}, fh, indent=2)
         fh.write("\n")
         return
@@ -106,7 +105,7 @@ def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) ->
         return [
             (text.get(v) or text.setdefault(v, "%.17g" % v) if v else "%.17g" % v)
             if isinstance(v, float)
-            else "" if v is None else ";".join(v) if isinstance(v, tuple) else str(v)
+            else "" if v is None else str(v)
             for v in values
         ]
 

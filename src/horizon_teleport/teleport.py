@@ -80,7 +80,7 @@ BELL_TABLE = np.array(
 BELL_TABLE.setflags(write=False)
 # each outcome with its Bell row and Bob's correction: 01 swaps the rails
 # (dual-rail bit flip), 10 puts a pi phase per photon on rail 2 (phase
-# flip), 11 swaps and then signs
+# flip), 11 signs and then swaps (Z then X, which is X then Z times -1)
 _BELL_ROWS = tuple(
     zip(OUTCOME_LABELS, BELL_TABLE, (False, True, False, True), (False, False, True, True))
 )
@@ -116,15 +116,17 @@ class DualRailQubit:
     def _bell_terms(self) -> tuple:
         """Alice's half of every run on this input, in ``_BELL_ROWS`` order.
 
-        Per outcome: (label, projection weight, (|scale_0|^2, |scale_1|^2),
-        ((target * scale_k, negate_k) for k = 0, 1)), where v is what
-        ``project`` of the Bell row onto (alpha, beta) leaves on the ancilla,
-        scale_k = conj(v_k) / sqrt(2) weights Bob's branch k, and branch k
-        meets target conj(alpha) or conj(beta) on logical bit k ^ swap,
-        negated when the outcome signs and that bit is 1.  Built on first
-        read, inside ``run_protocol``, and kept with the qubit.  Two threads
-        that read it first at once may both build it; they compute the same
-        values, so either copy serves.
+        Per outcome: (label, projection weight, |s0|^2, |s1|^2, product0,
+        product1), where v is what ``project`` of the Bell row onto
+        (alpha, beta) leaves on the ancilla, s_k = conj(v_k) / sqrt(2)
+        weights Bob's branch k, and product_k is s_k times the target,
+        conj(alpha) or conj(beta), of logical bit k ^ swap.  Where the
+        outcome signs, product1 is negated: the sign lands on branch 1
+        before the swap, Z then X, which differs from X then Z by a global
+        phase of -1 that no probability or fidelity can see.  Built on
+        first read, inside ``run_protocol``, and kept with the qubit.  Two
+        threads that read it first at once may both build it; they compute
+        the same values, so either copy serves.
         """
         targets = self.alpha.conjugate(), self.beta.conjugate()
         logical = np.array([self.alpha, self.beta])
@@ -132,27 +134,26 @@ class DualRailQubit:
         for label, bell, swap, sign in _BELL_ROWS:
             weight, v = project(bell, logical)
             v0, v1 = v.tolist()
-            scales = v0.conjugate() * _SQRT_HALF, v1.conjugate() * _SQRT_HALF
-            terms = tuple(
-                (targets[k ^ swap] * scale, bool(sign and k ^ swap))
-                for k, scale in enumerate(scales)
-            )
-            rows.append((label, weight, (abs(scales[0]) ** 2, abs(scales[1]) ** 2), terms))
+            s0, s1 = v0.conjugate() * _SQRT_HALF, v1.conjugate() * _SQRT_HALF
+            product1 = targets[not swap] * s1
+            if sign:
+                product1 = -product1
+            rows.append((label, weight, abs(s0) ** 2, abs(s1) ** 2, targets[swap] * s0, product1))
         return tuple(rows)
 
 
 class TeleportOutcome(NamedTuple):
     """One Bell result: its probability and the post-correction fidelity.
 
-    ``flags`` is always empty: every outcome carries a quarter of the
-    retained weight, so a run either scores all four or raises.  The field
-    stays because it is a column of the ``simulate`` table.
+    ``flags`` is always "": every outcome carries a quarter of the retained
+    weight, so a run either scores all four or raises.  The field stays
+    because it is a column of the ``simulate`` table.
     """
 
     label: str
     probability: float
     fidelity: float
-    flags: tuple[str, ...] = ()
+    flags: str = ""
 
 
 class ProtocolRun(NamedTuple):
@@ -188,8 +189,8 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     occupation m + offset, and each target, (1, 0) or (0, 1), has a 0 on
     one rail, so a branch meets only the target whose 1 is on its photon
     rail, and only at (m1, m2) = (0, 0): branch k lands on logical bit
-    k ^ swap, signed when the outcome signs and that bit is 1, with
-    amplitude one[0] * zero[0].  The sum has one term.
+    k ^ swap with amplitude one[0] * zero[0], and where the outcome signs,
+    branch 1 carries the sign.  The sum has one term.
 
     Numpy does the O(n_max) work in ``channel._schmidt_norms``: the Schmidt
     vectors and their two squared norms.  The rest, per outcome a few
@@ -220,11 +221,10 @@ def run_protocol(params: SqueezeParams, qubit: DualRailQubit, n_max: int) -> Pro
     # the probabilities add in turn: sum() of floats compensates the
     # rounding from Python 3.12 on, which would move the printed loss
     outcomes, retained, weighted, degenerate = [], 0.0, 0.0, False
-    signed = vacuum, -vacuum  # indexed by a term's negate flag
-    for label, weight, (a0, a1), ((product0, negate0), (product1, negate1)) in qubit._bell_terms:
+    for label, weight, a0, a1, product0, product1 in qubit._bell_terms:
         norm_sq = a0 * norm + a1 * norm
         probability = weight * norm_sq
-        overlap = product0 * signed[negate0] + product1 * signed[negate1]
+        overlap = product0 * vacuum + product1 * vacuum
         fidelity = abs(overlap) ** 2 / norm_sq
         retained += probability
         weighted += probability * fidelity

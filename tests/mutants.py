@@ -24,11 +24,14 @@ the copy.  ``tests/test_layering.py`` checks on every run of the suite that
 each row's source text occurs exactly once in its file and that each
 node's test exists, so a refactor that moves either must update the row.
 
-One mutant is left out because it is equivalent: the parity sign on the
-wrong rail, ``bool(sign and not k ^ swap)`` in ``teleport``.  A corrected
-branch meets the ideal state only at region-II vacuum, so that sign
-negates the other branch's term instead of this one's, a global phase of
--1 that no probability or fidelity can see.
+One mutant is left out because it is equivalent: the parity sign of
+outcome 11 on branch 0 instead of branch 1 in ``DualRailQubit._bell_terms``.
+A corrected branch meets the ideal state only at region-II vacuum, so
+that sign negates the other branch's term of the overlap, a global phase
+of -1 that no probability or fidelity can see: it turns the correction Z
+then X into X then Z, and XZ = -ZX.  That equivalence is why the code may
+put the sign on branch 1, before the swap, where it needs no test of the
+bit the branch lands on.
 """
 
 from __future__ import annotations
@@ -205,11 +208,14 @@ MUTANTS = (
         "channel.py",
         "_BLOCK = 2**13\n",
         "_BLOCK = 2**22\n",
-        ("tests/test_cli.py::test_the_output_does_not_depend_on_the_blas_thread_count",),
+        (
+            "tests/test_teleport.py::test_a_runs_peak_memory_is_one_block_whatever_the_cutoff",
+            "tests/test_cli.py::test_the_output_does_not_depend_on_the_blas_thread_count",
+        ),
     ),
     Mutant("zero-cached", "cli.py", _FLOAT_CELL, '(text.get(v) or text.setdefault(v, "%.17g" % v))', (_CSV_MODULE, _REPEATS)),
     Mutant("sixteen-digits", "cli.py", _FLOAT_CELL, _FLOAT_CELL.replace("%.17g", "%.16g"), (_CSV_MODULE, _REPEATS)),
-    Mutant("none-as-str", "cli.py", 'else "" if v is None else ";".join(v)', 'else ";".join(v)', (_CSV_MODULE, _REPEATS)),
+    Mutant("none-as-str", "cli.py", 'else "" if v is None else str(v)', "else str(v)", (_CSV_MODULE, _REPEATS)),
     Mutant(
         "degenerate-at-the-threshold",
         "teleport.py",
@@ -223,6 +229,37 @@ MUTANTS = (
         "-math.expm1(-2.0 * decay)",
         "-math.expm1(-decay)",
         (_CLOSED_FORMS, _LAW),
+    ),
+    Mutant(
+        "one-target-for-both-branches",
+        "teleport.py",
+        "targets[not swap] * s1",
+        "targets[swap] * s1",
+        (_LAW, "tests/test_teleport.py::test_sector_route_matches_the_dense_oracle"),
+    ),
+    Mutant(
+        "capped-point-flagged-divergent",
+        "analysis.py",
+        'flags="cutoff-capped"',
+        'flags="divergent"',
+        (
+            "tests/test_analysis.py::test_sweep_flags_points_beyond_the_cutoff_cap",
+            "tests/test_cli.py::test_sweep_records_divergent_and_capped_points",
+        ),
+    ),
+    Mutant(
+        "cutoff-limit-refused-at-the-limit",
+        "teleport.py",
+        "if n_max > channel.CUTOFF_LIMIT:",
+        "if n_max >= channel.CUTOFF_LIMIT:",
+        ("tests/test_teleport.py::test_a_cutoff_above_the_limit_is_refused_before_any_work",),
+    ),
+    Mutant(
+        "zero-accepted-as-positive",
+        "cli.py",
+        "not value > 0.0",
+        "not value >= 0.0",
+        ("tests/test_cli.py::test_fidelity_validation_exit_codes",),
     ),
 )
 

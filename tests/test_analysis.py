@@ -89,7 +89,7 @@ def test_sweep_corner_values():
         assert 0.0 <= r.fidelity_analytic <= 1.0
         assert r.mass == r.radius / 2.0
         assert r.fidelity_numeric is None  # analytic-only mode
-        assert r.flags == ()
+        assert r.flags == ""
 
 
 def test_sweep_surface_is_monotone():
@@ -107,7 +107,7 @@ def test_sweep_with_simulation_fills_numeric_fields():
     grid = SweepGrid(radius_min=0.5, radius_max=1.0, omega_min=0.5, omega_max=1.0)
     records = sweep(grid, mode="with-simulation", max_cutoff=40)
     for r in records:
-        assert r.flags == ()
+        assert r.flags == ""
         assert r.n_max is not None and r.n_max >= 1
         assert r.truncation_loss is not None and 0.0 <= r.truncation_loss <= 1e-9
         assert abs(r.fidelity_numeric - r.fidelity_analytic) <= 1e-6
@@ -145,7 +145,7 @@ def test_sweep_flags_points_beyond_the_cutoff_cap():
     grid = SweepGrid(radius_min=0.5, radius_max=1.0, omega_min=0.5, omega_max=1.0)
     records = sweep(grid, mode="with-simulation", max_cutoff=2)
     for r in records:
-        assert r.flags == ("cutoff-capped",)
+        assert r.flags == "cutoff-capped"
         assert r.fidelity_numeric is None
         assert r.n_max is None
         assert r.fidelity_analytic > 0.0  # analytic value still recorded
@@ -164,12 +164,12 @@ def test_sweep_flags_divergent_points():
     divergent = [r for r in records if r.radius == 2e-18]
     assert len(divergent) == 2
     for r in divergent:
-        assert r.flags == ("divergent",)
+        assert r.flags == "divergent"
         assert r.r_squeeze is None
         assert r.fidelity_analytic == 0.0
         assert r.fidelity_numeric is None
     healthy = [r for r in records if r.radius == 1.0]
-    assert all(r.flags == () for r in healthy)
+    assert all(r.flags == "" for r in healthy)
 
 
 def test_sweep_is_deterministic_across_worker_counts():

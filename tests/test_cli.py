@@ -93,6 +93,9 @@ def test_fidelity_validation_exit_codes(capsys):
     assert run_cli(["fidelity", "--radius", "0", "--omega", "1"]) == 1
     assert run_cli(["fidelity", "--radius", "-2", "--omega", "1"]) == 1
     assert run_cli(["fidelity", "--radius", "1", "--omega", "-1"]) == 1
+    # zero is not positive: refused as input, not reported as divergent
+    assert run_cli(["fidelity", "--radius", "1", "--omega", "0"]) == 1
+    assert run_cli(["fidelity", "--mass", "0", "--omega", "1"]) == 1
     assert run_cli(["fidelity", "--radius", "1"]) == 1  # omega missing
     assert run_cli(["fidelity", "--omega", "1"]) == 1  # neither mass nor radius
     assert run_cli(["fidelity", "--mass", "1", "--radius", "1", "--omega", "1"]) == 1
@@ -347,10 +350,11 @@ def test_sweep_thread_env_does_not_change_output(tmp_path, monkeypatch):
     monkeypatch.setenv("HORIZON_TELEPORT_THREADS", "2")
     threaded = tmp_path / "threads2.csv"
     assert run_cli(args + ["--out", str(threaded)]) == 0
-    monkeypatch.setenv("HORIZON_TELEPORT_THREADS", "1")
-    serial = tmp_path / "threads1.csv"
-    assert run_cli(args + ["--out", str(serial)]) == 0
-    assert threaded.read_bytes() == serial.read_bytes()
+    for setting in ("1", "0"):  # 0, as unset, runs on the calling thread
+        monkeypatch.setenv("HORIZON_TELEPORT_THREADS", setting)
+        serial = tmp_path / f"threads{setting}.csv"
+        assert run_cli(args + ["--out", str(serial)]) == 0
+        assert threaded.read_bytes() == serial.read_bytes()
 
     monkeypatch.setenv("HORIZON_TELEPORT_THREADS", "abc")
     assert run_cli(args + ["--out", str(tmp_path / "bad.csv")]) == 1
@@ -534,31 +538,37 @@ def test_converge_validation_exit_codes(capsys):
     assert run_cli(["converge", "--tanh-r", "1.0", "--cutoffs", "5"]) == 1
     assert run_cli(["converge", "--cutoffs", "5"]) == 1  # no parameter choice
     assert run_cli(["converge", "--tanh-r", "0.5", "--mass", "1", "--omega", "1", "--cutoffs", "5"]) == 1
+    assert run_cli(["converge", "--tanh-r", "0.5", "--omega", "1", "--cutoffs", "5"]) == 1
     capsys.readouterr()
+    # half a geometry is named as such, not as a missing number
+    assert run_cli(["converge", "--mass", "1", "--cutoffs", "5"]) == 1
+    assert "give either --tanh-r or both --mass and --omega" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- shared contract
 
 
+_FLAGS = ("", "divergent", "cutoff-capped")
+
+
 class _Row(NamedTuple):
     x: object
-    flags: tuple
+    flags: str
 
 
 def test_csv_cells_follow_each_value_even_where_values_repeat():
     # the writer formats each repeated float once; 0.0 and -0.0 compare
-    # equal yet print apart, None prints as an empty cell and flags joined
+    # equal yet print apart, and None prints as an empty cell
     values = (0.0, -0.0, 0.0, 0.1, -0.0, 0.1, None, math.nan, 3)
     out = io.StringIO()
-    cli._write_rows([_Row(v, ("a", "b")[: i % 3]) for i, v in enumerate(values)], out, "csv")
+    cli._write_rows([_Row(v, _FLAGS[i % 3]) for i, v in enumerate(values)], out, "csv")
     assert out.getvalue().split("\n") == [
-        "x,flags", "0,", "-0,a", "0,a;b", "0.10000000000000001,", "-0,a",
-        "0.10000000000000001,a;b", ",", "nan,a", "3,a;b", "",
+        "x,flags", "0,", "-0,divergent", "0,cutoff-capped", "0.10000000000000001,", "-0,divergent",
+        "0.10000000000000001,cutoff-capped", ",", "nan,divergent", "3,cutoff-capped", "",
     ]
 
 
 _RECORDS = (analysis.SweepRecord, teleport.TeleportOutcome, analysis.ConvergenceRow)
-_FLAGS = ("divergent", "cutoff-capped")
 # the edges of the double: signed zeros, nan, infinities, subnormals, and a
 # value whose 17 digits differ from its 16
 _EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1)
@@ -576,7 +586,7 @@ def _written_rows(draw):
         if name == "label":
             return st.sampled_from(teleport.OUTCOME_LABELS)
         if name == "flags":
-            return st.lists(st.sampled_from(_FLAGS), max_size=2, unique=True).map(tuple)
+            return st.sampled_from(_FLAGS)
         return number
 
     rows = draw(st.lists(st.tuples(*map(cell, record._fields)).map(record._make), min_size=1, max_size=6))
@@ -588,7 +598,7 @@ def _written_rows(draw):
 def _csv_cell(value):
     if isinstance(value, float):
         return "%.17g" % value
-    return "" if value is None else ";".join(value) if isinstance(value, tuple) else str(value)
+    return "" if value is None else str(value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,8 +623,8 @@ def test_csv_rows_are_what_the_csv_module_writes(written):
 
 
 def _reads_back(cell, value):
-    """A CSV cell holds its JSON value: None as an empty cell, flags joined
-    with ";", and numbers exactly, from 17 digits."""
+    """A CSV cell holds its JSON value: None as an empty cell, strings as
+    they are, and numbers exactly, from 17 digits."""
     if value is None or isinstance(value, str):
         return cell == (value or "")
     return type(value)(cell) == value

@@ -8,7 +8,8 @@ One run path: the commands reach the protocol through one
 and only ``channel`` holds the truncation budget to its range.  One row
 writer: the CLI joins its CSV lines and dumps its JSON in ``_write_rows``
 only, the package imports no ``csv``, and the CLI hands the writer the
-records as they are, never a dict built from one.
+records as they are, never a dict built from one, and no record field
+is a tuple for the writer to join.
 One horizon law: only ``SqueezeParams.__post_init__``, which sets
 ``decay``, and its inverse ``from_tanh`` read pi, and ``SqueezeParams``
 defines no property that could derive it again.  No host limits: the
@@ -23,6 +24,8 @@ import sys
 from pathlib import Path
 
 from mutants import MUTANTS
+
+from horizon_teleport import analysis, teleport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,7 +189,13 @@ def _writer_uses(node):
 def test_the_cli_writes_rows_in_one_place():
     # _write_rows joins each CSV line itself, so the package has no use for
     # the csv module; a second writer in cli, CSV or JSON, shows up as a
-    # json.dump, a writelines or a ",".join outside _write_rows
+    # json.dump, a writelines or a ",".join outside _write_rows.  A record
+    # holds each value as it is written, so no field is a tuple and the
+    # writer joins no ";"-list of flags
+    for record in (analysis.SweepRecord, analysis.ConvergenceRow, teleport.TeleportOutcome):
+        for name, annotation in record.__annotations__.items():
+            assert "tuple" not in str(annotation).lower(), (record.__name__, name)
+    assert '";".join' not in (PACKAGE / "cli.py").read_text()
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     (write_rows,) = [
         node for node in ast.walk(tree)
@@ -275,7 +284,7 @@ def test_every_catalogued_mutant_still_applies():
     # tests/mutants.py changes each row's source text, once, in a copy of
     # its file and runs the row's nodes there; a refactor that moves either
     # must update the row
-    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 23
+    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 27
     for mutant in MUTANTS:
         assert (PACKAGE / mutant.file).read_text().count(mutant.source) == 1, mutant.id
         for node in mutant.nodes:

@@ -229,7 +229,7 @@ def test_flat_space_protocol_is_exact():
         for o in outcomes:
             assert o.probability == pytest.approx(0.25, abs=1e-12)
             assert o.fidelity == pytest.approx(1.0, abs=1e-12)
-            assert o.flags == ()
+            assert o.flags == ""
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -329,7 +329,7 @@ def _assert_the_routes_agree(tanh_r, n_max, inputs, blocks=(channel._BLOCK,)):
                 patch.setattr(channel, "_BLOCK", block)
                 outcomes = run_protocol(params, qubit, n_max).outcomes
             for outcome, (label, probability, fidelity) in zip(outcomes, dense, strict=True):
-                assert (outcome.label, outcome.flags) == (label, ()), (n_max, block)
+                assert (outcome.label, outcome.flags) == (label, ""), (n_max, block)
                 assert outcome.probability == pytest.approx(probability, abs=1e-12), (n_max, block)
                 assert outcome.fidelity == pytest.approx(fidelity, abs=1e-12), (n_max, block)
 
@@ -381,6 +381,12 @@ def _traced_peak(n_max):
 
 
 def test_a_runs_peak_memory_is_one_block_whatever_the_cutoff():
+    # 10**5 levels peak at about 197 KB in blocks of 2**13 levels; the
+    # cutoff and the bound are numbers, not multiples of the block, so a
+    # block grown past the size at which OpenBLAS splits a dot over its
+    # threads fails here too, on a host with one CPU (2**22 levels peaked
+    # at 2.4 MB)
+    assert _traced_peak(10**5) <= 256 * 1024
     # one block against three blocks and 7 levels, within one block's array
     # of doubles: a run that held Bob's whole vectors would peak three times
     # higher, and one that kept the last block while building the next, two
@@ -404,6 +410,14 @@ def test_runs_across_block_boundaries_follow_the_finite_cutoff_law(n_max):
 
 
 def test_a_cutoff_above_the_limit_is_refused_before_any_work(monkeypatch):
+    # a cutoff at the limit runs; a limit of 12 levels stands in for 2**27,
+    # whose run would take most of a second
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "CUTOFF_LIMIT", 12)
+        assert len(run_protocol(SqueezeParams.from_tanh(0.5), DualRailQubit(1.0, 0.0), 12).outcomes) == 4
+        with pytest.raises(ValueError, match="cutoff 13 is above the limit of 12 levels"):
+            run_protocol(SqueezeParams.from_tanh(0.5), DualRailQubit(1.0, 0.0), 13)
+
     def summed(*args):
         raise AssertionError("Bob's norms were summed")
 
@@ -506,7 +520,7 @@ def test_every_outcome_follows_the_finite_cutoff_law(params, n_max, seed):
             run_protocol(params, qubit, n_max)
         return
     for o in run_protocol(params, qubit, n_max).outcomes:
-        assert o.flags == ()
+        assert o.flags == ""
         assert law_deviation(o.probability, probability) <= LAW_RTOL, o.label
         assert law_deviation(o.fidelity, fidelity) <= LAW_RTOL, o.label
 
