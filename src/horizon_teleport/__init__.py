@@ -17,7 +17,10 @@ measurement, one ``project``, run four times per input qubit, once per
 Bell outcome), :mod:`~horizon_teleport.channel`
 (the horizon two-mode-squeezing channel), :mod:`~horizon_teleport.teleport`
 (the protocol), :mod:`~horizon_teleport.analysis` (parameter sweeps and
-convergence tables), :mod:`~horizon_teleport.cli` (command line).
+convergence tables), :mod:`~horizon_teleport.cli` (command line).  Numpy
+serves the simulation only: ``fock.project``, ``channel``'s Schmidt
+vectors and ``teleport``'s Alice import it when a run needs it, so
+importing the package, the closed form and an analytic sweep never load it.
 """
 
 from .channel import (

@@ -9,6 +9,10 @@ grows.  Each simulated point and each convergence row is one
 ``teleport.run_protocol`` call, whose fidelity and loss it reports.  Each
 sweep and each report builds its own probe qubit, so Alice measures it
 once for all of its points or cutoffs.
+
+The grid's axes are lists of Python floats, each value raised with libm's
+``pow``, so an analytic sweep runs without numpy; only the simulation
+loads it, on its first run.
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import channel, teleport
 
@@ -76,15 +77,24 @@ class SweepGrid:
             raise ValueError(f"a {shape} grid ({size} points) is above the limit of {GRID_LIMIT} points")
 
     @staticmethod
-    def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
-        values = np.logspace(math.log10(lo), math.log10(hi), steps)
-        values[0], values[-1] = lo, hi  # corners exact despite log round-trip
-        return values
+    def _axis(lo: float, hi: float, steps: int) -> list[float]:
+        """``steps`` values from ``lo`` to ``hi``, evenly spaced in log10.
 
-    def radius_values(self) -> np.ndarray:
+        The exponents are formed as ``numpy.linspace`` forms them, y_i =
+        i step + log10(lo), and each is raised as 10.0 ** y_i, which is
+        libm's ``pow``: within about half an ulp of 10^y_i, whatever the
+        CPU, where numpy's vectorized ``pow`` may round the other way.
+        """
+        start = math.log10(lo)
+        step = (math.log10(hi) - start) / (steps - 1)
+        # the corners are exact, never raised: 10.0 ** log10(hi) may round
+        # past the largest double, where libm's pow raises OverflowError
+        return [lo, *(10.0 ** (i * step + start) for i in range(1, steps - 1)), hi]
+
+    def radius_values(self) -> list[float]:
         return self._axis(self.radius_min, self.radius_max, self.radius_steps)
 
-    def omega_values(self) -> np.ndarray:
+    def omega_values(self) -> list[float]:
         return self._axis(self.omega_min, self.omega_max, self.omega_steps)
 
 
@@ -172,11 +182,15 @@ def sweep(
     channel.check_budget(epsilon, max_cutoff)
     probe = teleport.DualRailQubit(_PROBE_AMPLITUDE, _PROBE_AMPLITUDE)
 
-    omegas = grid.omega_values().tolist()
-    pool = ThreadPoolExecutor(workers) if workers is not None and workers > 1 else None
+    omegas = grid.omega_values()
+    pool = None
+    if workers is not None and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
     records: list[SweepRecord] = []
     with pool or contextlib.nullcontext():
-        for radius in grid.radius_values().tolist():
+        for radius in grid.radius_values():
             row = functools.partial(_evaluate_point, mode, epsilon, max_cutoff, probe, radius)
             records.extend(pool.map(row, omegas) if pool else map(row, omegas))
     return records

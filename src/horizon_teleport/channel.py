@@ -22,17 +22,20 @@ and ``required_cutoff`` picks the cutoff whose dual-rail tail, the loss a
 protocol run reports, is within epsilon.  The images are supported on
 |m, m> and |m+1, m> (region I, region II); the protocol in ``teleport``
 reads only the squared norms of their amplitudes by region-II occupation m
-and the amplitudes at m = 0 (``_schmidt_norms``).  The tests hold these
+and the amplitudes at m = 0 (``_schmidt_norms``), the one part of the
+module that uses numpy.  It imports numpy when a run calls it, so the
+closed forms and the cutoff search run without it.  The tests hold these
 amplitudes and tails to an independent reference in ``tests/oracles.py``,
 the squeezer exp(r (a+ b+ - a b)) applied to |0, 0> and |1, 0>.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+# numpy is imported inside the functions that use it; annotations name it np
 
 __all__ = [
     "SqueezeParams",
@@ -60,12 +63,6 @@ CUTOFF_CAP = 100000
 # below that, so the output does not depend on the BLAS thread count
 CUTOFF_LIMIT = 2**27
 _BLOCK = 2**13
-# a block's levels m = 0.._BLOCK - 1 as doubles, and sqrt(m + 1), the
-# photon rail's factor on the first block
-_LEVELS = np.arange(float(_BLOCK))
-_ROOTS = np.sqrt(_LEVELS + 1.0)
-_LEVELS.setflags(write=False)
-_ROOTS.setflags(write=False)
 
 
 class DivergentSqueezing(Exception):
@@ -146,6 +143,22 @@ def radius_to_mass(horizon_radius: float) -> float:
     return horizon_radius / 2.0
 
 
+@functools.cache
+def _tables(block: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's levels m = 0..block - 1 as doubles, and sqrt(m + 1), the
+    photon rail's factor on the first block: read-only, built by the first
+    run and kept for the process, one pair per block size, so a smaller
+    ``_BLOCK`` reads tables of its own size.  Two threads that build them
+    at once compute the same arrays, so either copy serves."""
+    import numpy as np
+
+    levels = np.arange(float(block))
+    roots = np.sqrt(levels + 1.0)
+    levels.setflags(write=False)
+    roots.setflags(write=False)
+    return levels, roots
+
+
 def _schmidt_coefficients(
     params: SqueezeParams, n_max: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +169,17 @@ def _schmidt_coefficients(
     one-photon embedding tanh^m r sqrt(m+1) / cosh^2 r on |m+1, m>; the
     latter is 0 at m = n_max, where region I would exceed the cutoff.
     """
-    # the levels m come from the read-only table _LEVELS, plus start, and
+    import numpy as np
+
+    # the levels m come from the read-only table of levels, plus start, and
     # the first block, the only one most runs have, reads sqrt(m+1) from
-    # _ROOTS; each amplitude is still exp(-decay m) of its own level.  Three
-    # arrays, the powers, the vacuum rail and the photon rail (a later
-    # block builds its levels in the last and takes their roots in place)
+    # the table of roots; each amplitude is still exp(-decay m) of its own
+    # level.  Three arrays, the powers, the vacuum rail and the photon rail
+    # (a later block builds its levels in the last and takes their roots in
+    # place)
+    levels, roots = _tables(_BLOCK)
     size = stop - start
-    m = _LEVELS[:size] + start if start else _LEVELS[:size]
+    m = levels[:size] + start if start else levels[:size]
     # exp(-x) underflows to 0.0 for every x above 745, so capping the decay
     # at 1e3 changes no amplitude and keeps decay * m finite: an infinite
     # decay (2 pi M Omega overflowed) would make tanh^0 r exp(-inf * 0) = NaN
@@ -175,7 +192,7 @@ def _schmidt_coefficients(
         one = np.sqrt(m, out=m)
         one *= powers
     else:
-        one = _ROOTS[:size] * powers
+        one = roots[:size] * powers
     one *= params.sech2_r
     one[n_max - start :] = 0.0  # level n_max, if this range reaches it
     return zero, one

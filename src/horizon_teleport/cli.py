@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import re
@@ -92,6 +91,8 @@ def _write_rows(rows: list[tuple], fh, fmt: str, summary: dict | None = None) ->
     under "outcomes" beside the ``summary`` keys.
     """
     if fmt == "json":
+        import json  # here, so the CSV commands start without it
+
         rows = [r._asdict() for r in rows]
         json.dump(rows if summary is None else {"outcomes": rows, **summary}, fh, indent=2)
         fh.write("\n")

@@ -20,8 +20,10 @@ Bell measurement is 2x2 linear algebra: ``fock.project`` of a row of
 weights the two branches.  The correction relabels the rails, so each
 corrected branch meets the ideal state on one entry only: where region II
 is empty.  Numpy holds Bob's vectors, one block of levels at a time, and
-takes their squared norms; the rest of a run, a few scalars per outcome,
-is Python float and complex arithmetic.
+takes their squared norms, and holds Alice's input for ``fock.project``;
+the rest of a run, a few scalars per outcome, is Python float and complex
+arithmetic.  ``BELL_TABLE`` is Python complex numbers, so this module
+loads numpy only when a run does, and the closed form never does.
 
 Alice's half of a run depends on the input qubit alone, so it is computed
 once per ``DualRailQubit``, on the first run that reads it, and kept with
@@ -44,8 +46,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import channel
 from .channel import SqueezeParams
 from .fock import project
@@ -63,32 +63,33 @@ __all__ = [
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
+# a Bell row's 1 / sqrt(2) as a factor, for the table and Alice's scales:
+# a multiply by the reciprocal, as numpy divides a complex by a real, where
+# Python's complex division rounds apart; the printed digits are those of
+# the multiply
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
 # The four dual-rail Bell states of Alice's input pair and her ancilla in
 # the logical basis, axes (outcome, input bit, ancilla bit), in
-# OUTCOME_LABELS order.  Projecting each onto the input (alpha, beta) leaves
-# Bob the conditional logical amplitudes (alpha, beta), (beta, alpha),
-# (alpha, -beta), (-beta, alpha), which Bob's correction undoes.
-BELL_TABLE = np.array(
-    [
-        [[1, 0], [0, 1]],  # (|0L 0L> + |1L 1L>) / sqrt(2)
-        [[0, 1], [1, 0]],  # (|0L 1L> + |1L 0L>) / sqrt(2)
-        [[1, 0], [0, -1]],  # (|0L 0L> - |1L 1L>) / sqrt(2)
-        [[0, 1], [-1, 0]],  # (|0L 1L> - |1L 0L>) / sqrt(2)
-    ],
-    dtype=np.complex128,
-) / math.sqrt(2.0)
-BELL_TABLE.setflags(write=False)
+# OUTCOME_LABELS order, as nested tuples of Python complex numbers.
+# Projecting each onto the input (alpha, beta) leaves Bob the conditional
+# logical amplitudes (alpha, beta), (beta, alpha), (alpha, -beta),
+# (-beta, alpha), which Bob's correction undoes.
+BELL_TABLE = tuple(
+    tuple(tuple(complex(entry * _SQRT_HALF) for entry in row) for row in bell)
+    for bell in (
+        ((1, 0), (0, 1)),  # (|0L 0L> + |1L 1L>) / sqrt(2)
+        ((0, 1), (1, 0)),  # (|0L 1L> + |1L 0L>) / sqrt(2)
+        ((1, 0), (0, -1)),  # (|0L 0L> - |1L 1L>) / sqrt(2)
+        ((0, 1), (-1, 0)),  # (|0L 1L> - |1L 0L>) / sqrt(2)
+    )
+)
 # each outcome with its Bell row and Bob's correction: 01 swaps the rails
 # (dual-rail bit flip), 10 puts a pi phase per photon on rail 2 (phase
 # flip), 11 signs and then swaps (Z then X, which is X then Z times -1)
 _BELL_ROWS = tuple(
     zip(OUTCOME_LABELS, BELL_TABLE, (False, True, False, True), (False, False, True, True))
 )
-
-# a Bell row's 1 / sqrt(2) as a factor: numpy divides a complex by a real
-# as a multiply by its reciprocal, Python's complex division does not, and
-# the printed digits are those of the multiply
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # a run raises when each outcome carries less weight than this, instead of
 # renormalizing: its cutoff has truncated almost all of Bob's state
@@ -128,6 +129,8 @@ class DualRailQubit:
         threads that read it first at once may both build it; they compute
         the same values, so either copy serves.
         """
+        import numpy as np
+
         targets = self.alpha.conjugate(), self.beta.conjugate()
         logical = np.array([self.alpha, self.beta])
         rows = []

@@ -16,7 +16,9 @@ For each mutant it copies ``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md`` (the CLI tests run its examples) to a temporary directory,
 applies the mutant there, and runs ``python -m pytest -x -q`` on the
 mutant's nodes in the copy, with ``PYTHONPATH`` pointed at it.  It prints
-one JSON object: per mutant, "killed", "survived" or "error" (pytest exited
+one JSON object: per mutant, "killed", "survived", "timeout" (the run was
+stopped after ``TIMEOUT_S``: the mutant made a loop run forever, which a
+user sees as a hang, so it counts as killed) or "error" (pytest exited
 with neither 0 nor 1, as when a node no longer exists), the first failing
 node and the seconds taken; it exits 1 unless every mutant is killed.  The
 repository is left as it was: pytest and hypothesis keep their caches in
@@ -48,6 +50,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# a run of the whole of tests takes 10 to 25 s; a mutant that loops forever
+# is stopped here
+TIMEOUT_S = 180.0
 
 
 class Mutant(NamedTuple):
@@ -64,7 +69,7 @@ _BLOCKS = "tests/test_teleport.py::test_runs_across_block_boundaries_follow_the_
 _SMALL_BLOCKS = "tests/test_teleport.py::test_sector_route_matches_the_dense_oracle_at_every_cutoff_to_40"
 _BLOCK_CALL = "zero, one = _schmidt_coefficients(params, n_max, start, min(start + _BLOCK, n_max + 1))"
 _RAILS = "(False, True, False, True), (False, False, True, True)"
-# sqrt(m + 1) on a later block; the first reads it from the table _ROOTS
+# sqrt(m + 1) on a later block; the first reads it from the table of roots
 _ROOTS_LATER = "        m += 1.0\n        one = np.sqrt(m, out=m)\n        one *= powers\n"
 _SEARCH = "tests/test_channel.py::test_required_cutoff_is_the_first_cutoff_within_the_budget_from_any_estimate"
 _ESTIMATE = "    n = min(max(math.ceil(_cutoff_estimate(params, epsilon)), 1), hard_cap)\n"
@@ -76,8 +81,8 @@ MUTANTS = (
     Mutant(
         "photon-sqrt-m",
         "channel.py",
-        _ROOTS_LATER + "    else:\n        one = _ROOTS[:size] * powers\n",
-        _ROOTS_LATER.replace("        m += 1.0\n", "") + "    else:\n        one = np.sqrt(_LEVELS[:size]) * powers\n",
+        _ROOTS_LATER + "    else:\n        one = roots[:size] * powers\n",
+        _ROOTS_LATER.replace("        m += 1.0\n", "") + "    else:\n        one = np.sqrt(levels[:size]) * powers\n",
         (_CLOSED_FORMS, _LAW),
     ),
     Mutant(
@@ -255,6 +260,33 @@ MUTANTS = (
         ("tests/test_teleport.py::test_a_cutoff_above_the_limit_is_refused_before_any_work",),
     ),
     Mutant(
+        "numpy-at-import",
+        "analysis.py",
+        "\nfrom . import channel, teleport\n",
+        "\nimport numpy as np\n\nfrom . import channel, teleport\n",
+        (
+            "tests/test_layering.py::test_the_analytic_commands_never_load_numpy",
+            "tests/test_layering.py::test_no_module_imports_numpy_at_module_level",
+        ),
+    ),
+    Mutant(
+        "axis-divides-by-steps",
+        "analysis.py",
+        "step = (math.log10(hi) - start) / (steps - 1)",
+        "step = (math.log10(hi) - start) / steps",
+        (
+            "tests/test_analysis.py::test_the_default_axes_are_pinned_where_libm_and_numpy_round_apart",
+            "tests/test_analysis.py::test_every_axis_value_is_correctly_rounded_between_exact_corners",
+        ),
+    ),
+    Mutant(
+        "tail-at-the-budget-refused",
+        "channel.py",
+        "if _tails(params, n)[2] > epsilon:",
+        "if _tails(params, n)[2] >= epsilon:",
+        ("tests/test_channel.py::test_a_tail_equal_to_the_budget_is_within_it",),
+    ),
+    Mutant(
         "zero-accepted-as-positive",
         "cli.py",
         "not value > 0.0",
@@ -262,6 +294,9 @@ MUTANTS = (
         ("tests/test_cli.py::test_fidelity_validation_exit_codes",),
     ),
 )
+
+
+KILLED = ("killed", "timeout")
 
 
 def _run(mutant: Mutant) -> dict:
@@ -276,13 +311,17 @@ def _run(mutant: Mutant) -> dict:
         path = copy / "src" / "horizon_teleport" / mutant.file
         path.write_text(path.read_text().replace(mutant.source, mutant.replacement, 1))
         pythonpath = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", *mutant.nodes],
-            cwd=copy,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-            capture_output=True,
-            text=True,
-        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", *mutant.nodes],
+                cwd=copy,
+                env={**os.environ, "PYTHONPATH": pythonpath},
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return {"result": "timeout", "node": None, "seconds": round(time.monotonic() - start, 2)}
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", result.stdout, re.MULTILINE)
     return {
         "result": {0: "survived", 1: "killed"}.get(result.returncode, "error"),
@@ -297,7 +336,7 @@ def main() -> int:
         results[mutant.id] = _run(mutant)
         print(mutant.id, results[mutant.id]["result"], file=sys.stderr, flush=True)
     print(json.dumps(results, indent=2))
-    return 0 if all(r["result"] == "killed" for r in results.values()) else 1
+    return 0 if all(r["result"] in KILLED for r in results.values()) else 1
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ Each mutant runs through ``mutants._run`` on a fresh copy, on the whole of
 edit to a catalogued source text, so it would count a mutant as killed
 whatever the package then does.  The output is the JSON of
 ``tests/mutants.py``, keyed by ``file:line:column original->mutant``; it
-exits 1 unless every mutant is killed.  A survivor is either equivalent
-(no output can tell it from the package), a gap for a new test to close,
-or code that no test needs.
+exits 1 unless every mutant is killed or timed out.  A survivor is either
+equivalent (no output can tell it from the package), a gap for a new test
+to close, or code that no test needs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import sys
 import tokenize
 
-from mutants import ROOT, Mutant, _run
+from mutants import KILLED, ROOT, Mutant, _run
 
 PACKAGE = ROOT / "src" / "horizon_teleport"
 
@@ -95,7 +95,7 @@ def main(files: list[str]) -> int:
             results[key] = _run(Mutant(key, name, text, mutated(text, *site), _NODES))
             print(key, results[key]["result"], results[key]["node"], file=sys.stderr, flush=True)
     print(json.dumps(results, indent=2))
-    return 0 if all(r["result"] == "killed" for r in results.values()) else 1
+    return 0 if all(r["result"] in KILLED for r in results.values()) else 1
 
 
 if __name__ == "__main__":

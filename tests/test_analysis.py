@@ -1,9 +1,13 @@
 """Parameter sweeps over (radius, frequency) and cutoff-convergence tables."""
 
+import decimal
 import math
+import sys
 import threading
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from horizon_teleport import analysis, channel, teleport
 from horizon_teleport.analysis import (
@@ -38,9 +42,79 @@ def test_grid_axis_endpoints_are_exact():
     assert all(a < b for a, b in zip(radii, radii[1:]))
 
 
+def _ulps_from_exact(value, y):
+    """|value - 10^y| in units in the last place of 10^y, the power taken
+    in 60-digit decimal from the double ``y``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        exact = decimal.Decimal(10) ** decimal.Decimal(y)
+        nearest = float(exact)
+        ulp = math.ulp(nearest)
+        if math.frexp(nearest)[0] == 0.5 and decimal.Decimal(nearest) > exact:
+            ulp /= 2  # 10^y lies just below a power of two, in the finer binade
+        return float(abs(decimal.Decimal(value) - exact) / decimal.Decimal(ulp))
+
+
+def _exponents(lo, hi, steps):
+    """The exponents of a log axis, formed as ``numpy.linspace`` forms them."""
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (steps - 1)
+    return [i * step + start for i in range(steps)]
+
+
+# where numpy's vectorized pow (SVML on an AVX-512 host) rounds the default
+# axes the other way: libm's 10.0 ** y, one ulp above numpy's, is the
+# nearer double at every one of them
+_LIBM_ROUNDED = {
+    "radius": {16: "0x1.093c66b70ab9cp-9", 31: "0x1.15f904ac46e8fp-5", 44: "0x1.90121616d597ap-2"},
+    "omega": {
+        6: "0x1.316435a7a387cp-9",
+        27: "0x1.7082f87edfc95p-5",
+        39: "0x1.f421e9ccf2155p-3",
+        43: "0x1.b77e7b4188b5dp-2",
+        44: "0x1.fa080cfd3ca17p-2",
+    },
+}
+
+
+def test_the_default_axes_are_pinned_where_libm_and_numpy_round_apart():
+    for axis, values, (lo, hi, steps) in (
+        ("radius", DEFAULT_GRID.radius_values(), (1e-4, 1.0, 50)),
+        ("omega", DEFAULT_GRID.omega_values(), (1e-3, 1.0, 50)),
+    ):
+        exponents = _exponents(lo, hi, steps)
+        for index, text in _LIBM_ROUNDED[axis].items():
+            assert values[index] == float.fromhex(text), (axis, index)
+            assert _ulps_from_exact(values[index], exponents[index]) < 0.5, (axis, index)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
+    st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
+    st.integers(min_value=2, max_value=200),
+)
+@example(1e-4, 1.0, 50)
+@example(1e-3, 1.0, 50)
+def test_every_axis_value_is_correctly_rounded_between_exact_corners(lo, hi, steps):
+    # normal edges at least a millionth apart: closer edges, or subnormal
+    # ones, leave fewer doubles between them than an axis has steps
+    lo, hi = min(lo, hi), max(lo, hi)
+    assume(hi >= lo * (1.0 + 1e-6))
+    values = SweepGrid._axis(lo, hi, steps)
+    assert len(values) == steps
+    assert values[0] == lo and values[-1] == hi
+    assert all(a < b for a, b in zip(values, values[1:]))
+    exponents = _exponents(lo, hi, steps)
+    worst = max((_ulps_from_exact(v, y) for v, y in zip(values[1:-1], exponents[1:-1])), default=0.0)
+    assert worst <= 0.52, worst
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(radius_min=1.0, radius_max=0.5)
+    with pytest.raises(ValueError):
+        SweepGrid(omega_min=0.5, omega_max=0.5)  # an axis of one value
     with pytest.raises(ValueError):
         SweepGrid(radius_steps=1)
     with pytest.raises(ValueError):
@@ -190,9 +264,13 @@ def test_sweep_runs_on_the_calling_thread_by_default(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(analysis, "_evaluate_point", recording)
-    for workers in (None, 0):
+    for workers in (None, 0, 1):
         sweep(SweepGrid(radius_steps=2, omega_steps=2), workers=workers)
     assert threads == {threading.get_ident()}
+    # two workers or more run the points on a pool, off the calling thread
+    threads.clear()
+    sweep(SweepGrid(radius_steps=2, omega_steps=2), workers=2)
+    assert threads and threading.get_ident() not in threads
 
 
 def test_each_sweep_and_report_measures_its_probe_once(count_calls):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizon_teleport import channel
+from horizon_teleport.analysis import DEFAULT_GRID
 from horizon_teleport.channel import (
     CUTOFF_LIMIT,
     EPSILON_MAX,
@@ -89,7 +90,7 @@ def test_flat_limit_handled_without_error():
 
 def test_divergent_squeezing():
     with pytest.raises(DivergentSqueezing) as info:
-        SqueezeParams(1e-18, 1.0)
+        SqueezeParams(2e-18, 0.5)
     assert info.value.product == pytest.approx(1e-18, rel=1e-12, abs=0.0)
     assert repr(info.value.product) in str(info.value)
 
@@ -119,6 +120,8 @@ def test_radius_to_mass():
 def test_from_tanh_and_from_r():
     assert math.exp(-SqueezeParams.from_tanh(0.5).decay) == pytest.approx(0.5, abs=1e-15)
     assert SqueezeParams.from_tanh(0.0).r_squeeze == 0.0
+    # unit mass, as the docstring states, the flat limit included
+    assert SqueezeParams.from_tanh(0.0).mass == SqueezeParams.from_tanh(0.5).mass == 1.0
     assert SqueezeParams.from_tanh(math.tanh(0.7)).r_squeeze == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(ValueError):
         SqueezeParams.from_tanh(1.0)
@@ -395,3 +398,32 @@ def test_required_cutoff_is_the_first_cutoff_within_the_budget_from_any_estimate
             assert info.value.hard_cap == hard_cap
         else:
             assert required_cutoff(params, epsilon, hard_cap) == expected
+
+
+def test_a_tail_equal_to_the_budget_is_within_it():
+    # "within epsilon" includes equality: with the budget set to the tail
+    # at cutoff n itself, the search returns n from estimates up to 8
+    # levels off either way, so each of its comparisons (at the estimate,
+    # galloping up or down, and in the bisection) meets that tail
+    estimate = channel._cutoff_estimate
+    for offset in range(-8, 9):
+        with mock.patch.object(channel, "_cutoff_estimate", lambda *args: estimate(*args) + offset):
+            for params, n in ((SqueezeParams.from_tanh(0.7), 37), (SqueezeParams(1.0, 1e-4), 12345)):
+                assert required_cutoff(params, channel._tails(params, n)[2], CUTOFF_LIMIT) == n, offset
+
+
+def test_the_cutoff_estimate_is_the_answer_across_the_default_surface():
+    # the search returns the right cutoff from any estimate (above); it
+    # takes two evaluations of the tail because the estimate's ceiling is
+    # already that cutoff, here at every point of the default surface and
+    # at three budgets
+    missed = [
+        (radius, omega, epsilon)
+        for radius in DEFAULT_GRID.radius_values()
+        for omega in DEFAULT_GRID.omega_values()
+        for params in (SqueezeParams(radius / 2.0, omega),)
+        for epsilon in (1e-10, 1e-6, EPSILON_MAX)
+        if max(math.ceil(channel._cutoff_estimate(params, epsilon)), 1)
+        != required_cutoff(params, epsilon, CUTOFF_LIMIT)
+    ]
+    assert missed == []

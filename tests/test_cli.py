@@ -221,6 +221,13 @@ def test_simulate_infeasible_cutoff_exits_3(capsys):
     # M Omega = 1e-4 needs cutoff 20986
     assert run_cli(["simulate", "--mass", "0.001", "--omega", "0.1", "--max-cutoff", "40"]) == 3
     assert "cutoff" in capsys.readouterr().err
+    # M Omega = 2.098524e-5 needs cutoff 100001, one level above the
+    # default cap of 100000 that the README states
+    argv = ["simulate", "--mass", "1", "--omega", "2.098524e-05"]
+    assert run_cli(argv) == 3
+    assert "no cutoff <= 100000 reaches" in capsys.readouterr().err
+    assert run_cli(argv + ["--max-cutoff", "100001"]) == 0
+    assert "# n_max=100001\n" in capsys.readouterr().out
 
 
 # the paper's claim as numbers: F = (1 - exp(-4 pi M W))^3 falls to a
@@ -413,7 +420,7 @@ def test_a_cutoff_cap_above_the_limit_exits_1_before_any_point(tmp_path, capsys)
     assert run_cli(argv + ["--max-cutoff", "1000000000"]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err == f"error: cutoff cap 1000000000 is above the limit of {channel.CUTOFF_LIMIT} levels\n"
+    assert err == "error: cutoff cap 1000000000 is above the limit of 134217728 levels\n"
 
     assert run_cli(argv + ["--max-cutoff", str(channel.CUTOFF_LIMIT)]) == 0
     _, rows = parse_csv(out.read_text())

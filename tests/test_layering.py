@@ -14,8 +14,11 @@ One horizon law: only ``SqueezeParams.__post_init__``, which sets
 ``decay``, and its inverse ``from_tanh`` read pi, and ``SqueezeParams``
 defines no property that could derive it again.  No host limits: the
 package reads no physical memory size and imports where ``os.sysconf``
-does not exist.  The mutant catalogue in ``tests/mutants.py`` still
-applies to the package and names tests that exist."""
+does not exist.  Numpy for the simulation only: no module imports it at
+module level, and a fresh process runs ``fidelity`` and an analytic
+``sweep`` without loading it.  The mutant catalogue in
+``tests/mutants.py`` still applies to the package and names tests that
+exist."""
 
 import ast
 import os
@@ -280,11 +283,77 @@ def test_the_package_imports_without_os_sysconf():
     assert result.returncode == 0, result.stderr
 
 
+def _module_level_imports(node):
+    """Every import statement under ``node`` outside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _module_level_imports(child)
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # only the simulation needs numpy, and it imports it inside the
+    # functions that run it, so the closed form starts without it
+    found, inside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set(map(id, _module_level_imports(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_numpy(node):
+                (found if id(node) in top else inside).append(f"{path.stem}:{node.lineno}")
+    assert found == []
+    assert {name.split(":")[0] for name in inside} == {"channel", "fock", "teleport"}
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import horizon_teleport
+from horizon_teleport import cli
+
+def loaded():
+    return [name for name in ("numpy", "json", "concurrent.futures") if name in sys.modules]
+
+steps = [loaded()]
+csv_out, json_out = sys.argv[1:]
+for argv in (
+    ["fidelity", "--radius", "1", "--omega", "1"],
+    ["sweep", "--radius-steps", "3", "--omega-steps", "3", "--out", csv_out],
+    ["sweep", "--radius-steps", "3", "--omega-steps", "3", "--format", "json", "--out", json_out],
+    ["simulate", "--mass", "1", "--omega", "0.11"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(steps[:-1], "numpy" in steps[-1])
+"""
+
+
+def test_the_analytic_commands_never_load_numpy(tmp_path):
+    # one fresh process: the import, fidelity and an analytic sweep, as CSV
+    # and as JSON, leave numpy unloaded, and the thread pool's module too;
+    # only the JSON writer loads json; simulate loads numpy, so the probe
+    # can tell the difference
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path / "s.csv"), str(tmp_path / "s.json")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[[], [], [], ['json']] True\n"
+
+
 def test_every_catalogued_mutant_still_applies():
     # tests/mutants.py changes each row's source text, once, in a copy of
     # its file and runs the row's nodes there; a refactor that moves either
     # must update the row
-    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 27
+    assert len({mutant.id for mutant in MUTANTS}) == len(MUTANTS) == 30
     for mutant in MUTANTS:
         assert (PACKAGE / mutant.file).read_text().count(mutant.source) == 1, mutant.id
         for node in mutant.nodes:

@@ -372,6 +372,9 @@ DIVERGENT = SqueezeParams(1e-3, 1e-4)
 
 def _traced_peak(n_max):
     qubit = _seeded_qubit(5)
+    # the first run in a process builds channel's tables of levels and
+    # roots, 128 KB kept for the process, not for the run: build them first
+    run_protocol(SqueezeParams.from_tanh(0.5), qubit, 1)
     tracemalloc.start()
     try:
         run_protocol(DIVERGENT, qubit, n_max)
